@@ -54,7 +54,7 @@
 
 #include "bench_common.hh"
 #include "net/topo/routed_network.hh"
-#include "sim/event_queue.hh"
+#include "sim/par/parallel_scheduler.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 
@@ -166,14 +166,14 @@ CellResult
 runCell(const Options &opt, TopologyKind topo, RoutingPolicy policy,
         Pattern pattern, double rate, unsigned cell_seed)
 {
-    EventQueue eq;
-    StatGroup stats;
     NetworkParams params;
     params.topology = topo;
     params.meshWidth = opt.width;
     params.routing = policy;
     params.vcDepth = opt.depth;
-    RoutedNetwork net(eq, opt.nodes, params, stats);
+    ParallelScheduler sched(1, opt.nodes, networkLookahead(params).ticks);
+    EventQueue &eq = sched.queueFor(0);
+    RoutedNetwork net(sched, opt.nodes, params);
     const TopologyGeometry &geom = net.geometry();
 
     std::uint64_t deliveredInWindow = 0;
@@ -218,7 +218,7 @@ runCell(const Options &opt, TopologyKind topo, RoutingPolicy policy,
     // Injection stops at opt.cycles; in-flight traffic keeps draining,
     // but nothing past windowEnd is counted (saturated queues would
     // otherwise inflate the delivered rate after injection stops).
-    eq.run();
+    sched.runUntil(tickNever);
 
     CellResult r;
     r.offered = rate;

@@ -60,11 +60,9 @@ struct SystemParams
     /**
      * Simulation worker threads (not simulated processors!). Each
      * thread owns a contiguous shard of the nodes and runs it under the
-     * parallel engine's conservative windows (src/sim/par/). Results
-     * are bit-identical for every value; configurations with a
-     * zero-lookahead cross-node coupling (Active predictors' directory
-     * verification feedback) fall back to one thread. 1 = the classic
-     * sequential engine.
+     * engine's conservative windows (src/sim/par/). Results are
+     * bit-identical for every value; 1 runs the same engine on the
+     * calling thread.
      */
     unsigned simThreads = 1;
 

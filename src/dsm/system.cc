@@ -37,34 +37,12 @@ planFor(const SystemParams &params)
     // deriving a lookahead from them (makeInterconnect would only get
     // to say so later).
     validateNetworkParams(params.net, params.numNodes);
-    NetLookahead net = networkLookahead(params.net);
     LookaheadInputs in;
     in.requestedThreads = params.simThreads;
     in.numNodes = params.numNodes;
-    in.netLookahead = net.ticks;
-    in.netSerialReason = net.serialReason;
+    in.netLookahead = networkLookahead(params.net).ticks;
     in.barrierLatency = params.barrierLatency;
-    if (params.mode == PredictorMode::Active &&
-        params.predictor != PredictorKind::Base) {
-        // The home directory trains the self-invalidating node's
-        // predictor combinationally when it verifies a SelfInv
-        // (DirController::setVerifyHook) — a zero-lookahead cross-node
-        // wire no conservative window can span.
-        in.zeroLookaheadCoupling =
-            "active predictor verification feedback is a zero-lookahead "
-            "cross-node coupling";
-    }
     return resolveShardPlan(in);
-}
-
-std::unique_ptr<SimContext>
-makeContext(const ShardPlan &plan, NodeId num_nodes)
-{
-    if (plan.canonical()) {
-        return std::make_unique<ParallelScheduler>(plan.shards, num_nodes,
-                                                   plan.window);
-    }
-    return std::make_unique<SequentialContext>();
 }
 
 } // namespace
@@ -111,7 +89,9 @@ SystemParams::withTopology(TopologyKind kind, NodeId nodes)
 DsmSystem::DsmSystem(SystemParams params)
     : params_(params),
       plan_(planFor(params)),
-      sim_(makeContext(plan_, params.numNodes)),
+      sim_(std::make_unique<ParallelScheduler>(plan_.shards,
+                                               params.numNodes,
+                                               plan_.window)),
       homes_(params.pageSize, params.numNodes),
       as_(std::make_unique<AddressSpace>(homes_, params.cache.blockSize)),
       net_(makeInterconnect(*sim_, params.numNodes, params.net)),
@@ -130,7 +110,7 @@ DsmSystem::DsmSystem(SystemParams params)
             n, eq, *net_, homes_, params_.cache, stats);
         node->cacheCtrl->setPredictor(node->predictor.get(), params_.mode);
         node->dirCtrl = std::make_unique<DirController>(
-            n, eq, *net_, params_.dir, stats);
+            n, *sim_, *net_, params_.dir, stats);
         nodes_.push_back(std::move(node));
     }
 
@@ -156,7 +136,8 @@ DsmSystem::DsmSystem(SystemParams params)
             }
         });
         // Verification outcomes train the self-invalidating node's
-        // predictor (hardware piggybacks these bits; see DESIGN.md).
+        // predictor; the directory delivers each one a network hop
+        // later, on that node's shard.
         nodes_[n]->dirCtrl->setVerifyHook(
             [this](NodeId who, Addr blk, bool premature, bool timely) {
                 nodes_[who]->cacheCtrl->onDirVerify(blk, premature,
@@ -210,8 +191,6 @@ DsmSystem::run(KernelBase &kernel, const KernelConfig &cfg)
         node.task.start(&node.onDone);
     }
 
-    auto *par = dynamic_cast<ParallelScheduler *>(sim_.get());
-
     // Guard bring-up (src/sim/guard/): the fault injector and the
     // invariant checkers are process-wide singletons (like the tracer),
     // armed for exactly this run and disarmed on every exit path so a
@@ -234,8 +213,7 @@ DsmSystem::run(KernelBase &kernel, const KernelConfig &cfg)
     } disarm;
     if (gp.faultsEnabled()) {
         guard::FaultPlan plan = guard::parseFaultSpec(gp.faultSpec);
-        if (plan.on(guard::FaultKind::BarrierWedge) &&
-            (!par || par->directDispatch())) {
+        if (plan.on(guard::FaultKind::BarrierWedge) && !plan_.parallel()) {
             throw std::invalid_argument(
                 "LTP_FAULT=barrier-wedge needs the staged parallel engine "
                 "(simThreads >= 2); this run has no window barrier");
@@ -257,16 +235,15 @@ DsmSystem::run(KernelBase &kernel, const KernelConfig &cfg)
         rc.tick = [this] { return sim_->tickApprox(); };
         rc.events = [this] { return sim_->executedApprox(); };
         rc.shards = plan_.shards;
-        if (par && !par->directDispatch()) {
-            rc.barrierGeneration = [par] {
-                return par->barrier().generationValue();
+        if (plan_.parallel()) {
+            rc.barrierGeneration = [this] {
+                return sim_->barrier().generationValue();
             };
-            rc.barrierArrived = [par] {
-                return par->barrier().arrivedCount();
+            rc.barrierArrived = [this] {
+                return sim_->barrier().arrivedCount();
             };
         }
-        if (par)
-            rc.profile = [par] { return par->profile(); };
+        rc.profile = [this] { return sim_->profile(); };
         guard::FlightRecorder::instance().arm(gp.flightRecorderFile,
                                               std::move(rc));
         disarm.recorder = true;
@@ -290,19 +267,7 @@ DsmSystem::run(KernelBase &kernel, const KernelConfig &cfg)
     if (params_.obs.metricsEnabled()) {
         sampler_ = std::make_unique<obs::MetricsSampler>(
             params_.obs.metricsFile, params_.obs.metricsIntervalTicks);
-        if (par && !par->directDispatch()) {
-            // Staged engine: sample in the window-planning barrier.
-            par->setMetricsSampler(sampler_.get());
-        } else {
-            // One queue (sequential or direct dispatch): the tick
-            // watcher fires between events, rearmed from the sampler's
-            // own due-tick grid.
-            sim_->queueFor(0).armTickWatcher(
-                sampler_->nextDue(), [this](Tick now) {
-                    return sampler_->maybeSample(now, sim_->stats(),
-                                                 sim_->eventsExecuted());
-                });
-        }
+        sim_->setMetricsSampler(sampler_.get());
     }
 
     {
@@ -312,12 +277,12 @@ DsmSystem::run(KernelBase &kernel, const KernelConfig &cfg)
         guard::WatchdogHooks hooks;
         hooks.tick = [this] { return sim_->tickApprox(); };
         hooks.events = [this] { return sim_->executedApprox(); };
-        if (par && !par->directDispatch()) {
-            hooks.barrierGeneration = [par] {
-                return par->barrier().generationValue();
+        if (plan_.parallel()) {
+            hooks.barrierGeneration = [this] {
+                return sim_->barrier().generationValue();
             };
-            hooks.barrierArrived = [par] {
-                return par->barrier().arrivedCount();
+            hooks.barrierArrived = [this] {
+                return sim_->barrier().arrivedCount();
             };
         }
         hooks.abort = [this](const std::string &reason) {
@@ -369,10 +334,7 @@ DsmSystem::run(KernelBase &kernel, const KernelConfig &cfg)
     if (sampler_) {
         sampler_->finish(sim_->now(), sim_->stats(),
                          sim_->eventsExecuted());
-        if (par && !par->directDispatch())
-            par->setMetricsSampler(nullptr);
-        else
-            sim_->queueFor(0).disarmTickWatcher();
+        sim_->setMetricsSampler(nullptr);
     }
     if (params_.obs.traceEnabled())
         obs::Tracer::instance().stop();
@@ -524,11 +486,7 @@ DsmSystem::collect(bool completed) const
     r.netHopMean = stats.averageMean("net.hopsPerMsg");
     r.netPeakLinkBusy = stats.maxCounterValueWithPrefix("net.linkBusy.");
 
-    if (auto *par = dynamic_cast<ParallelScheduler *>(sim_.get()))
-        r.engineProfile = par->profile();
-    else
-        r.engineProfile.overflowMigrations =
-            sim_->queueFor(0).overflowMigrations();
+    r.engineProfile = sim_->profile();
 
     for (const auto &node : nodes_) {
         if (node->thread)

@@ -34,9 +34,8 @@
 #include "predictor/invalidation_predictor.hh"
 #include "proto/cache_controller.hh"
 #include "proto/dir_controller.hh"
-#include "sim/event_queue.hh"
 #include "sim/par/lookahead.hh"
-#include "sim/par/sim_context.hh"
+#include "sim/par/parallel_scheduler.hh"
 #include "sim/stats.hh"
 
 namespace ltp
@@ -71,7 +70,7 @@ struct RunResult
     std::uint64_t memOps = 0;
     /** Discrete events executed by the simulation core (perf tracking). */
     std::uint64_t eventsExecuted = 0;
-    /** Partitions the engine actually ran (1 = sequential fallback). */
+    /** Partitions the engine actually ran. */
     unsigned simShards = 1;
 
     // Prediction-accuracy accounting (Figures 6-8). The denominator is
@@ -164,18 +163,15 @@ class DsmSystem
 
     const SystemParams &params() const { return params_; }
     /**
-     * Whole-run statistics. Under the canonical engine this is a
-     * merged snapshot rebuilt on every call: references stay valid
-     * across calls, but treat it as read-only — writes are discarded by
-     * the next rebuild. To register custom stats, use
-     * simContext().shardStats() before the run instead.
+     * Whole-run statistics: a merged snapshot rebuilt on every call.
+     * References stay valid across calls, but treat it as read-only —
+     * writes are discarded by the next rebuild. To register custom
+     * stats, use scheduler().shardStats() before the run instead.
      */
     StatGroup &stats() { return sim_->stats(); }
-    /** Node 0's event queue — the only queue on a sequential run. */
-    EventQueue &eventQueue() { return sim_->queueFor(0); }
-    /** The engine (sharding, window width) this system runs on. */
+    /** The engine's plan (sharding, window width) for this system. */
     const ShardPlan &shardPlan() const { return plan_; }
-    SimContext &simContext() { return *sim_; }
+    ParallelScheduler &scheduler() { return *sim_; }
     Interconnect &network() { return *net_; }
     DsmNode &node(NodeId n) { return *nodes_[n]; }
     MemoryValues &memory() { return mem_; }
@@ -189,7 +185,7 @@ class DsmSystem
 
     SystemParams params_;
     ShardPlan plan_;
-    std::unique_ptr<SimContext> sim_;
+    std::unique_ptr<ParallelScheduler> sim_;
     HomeMap homes_;
     MemoryValues mem_;
     std::unique_ptr<AddressSpace> as_;

@@ -14,8 +14,7 @@
  * traffic. Barrier arrival also reports a synchronization boundary. See
  * DESIGN.md for why this substitution is safe.
  *
- * Under the parallel engine the domain switches to a sharded protocol:
- * arrivals from different shards meet in atomics (a count plus a
+ * Arrivals from different shards meet in atomics (a count plus a
  * monotonic max of the arrival ticks — both commutative, so the release
  * tick is independent of wall-clock arrival order), and the completing
  * arrival posts one per-node wakeup through the engine at
@@ -32,8 +31,7 @@
 
 #include "kernel/task.hh"
 #include "kernel/thread_ctx.hh"
-#include "sim/event_queue.hh"
-#include "sim/par/sim_context.hh"
+#include "sim/par/parallel_scheduler.hh"
 #include "sim/types.hh"
 
 namespace ltp
@@ -43,28 +41,11 @@ namespace ltp
 class SyncDomain
 {
   public:
-    SyncDomain(EventQueue &eq, unsigned num_threads,
+    SyncDomain(ParallelScheduler &sched, unsigned num_threads,
                Tick barrier_latency = 200)
-        : eq_(&eq), numThreads_(num_threads),
-          barrierLatency_(barrier_latency)
+        : sched_(sched), numThreads_(num_threads),
+          barrierLatency_(barrier_latency), slots_(num_threads, nullptr)
     {
-    }
-
-    /**
-     * Engine-aware domain: plain sequential contexts take the exact
-     * legacy path; canonical (windowed) contexts use the sharded
-     * arrival protocol at every shard count, so the release events are
-     * identical whether one thread runs or eight.
-     */
-    SyncDomain(SimContext &ctx, unsigned num_threads,
-               Tick barrier_latency = 200)
-        : eq_(&ctx.queueFor(0)), numThreads_(num_threads),
-          barrierLatency_(barrier_latency)
-    {
-        if (ctx.canonical()) {
-            ctx_ = &ctx;
-            slots_.assign(num_threads, nullptr);
-        }
     }
 
     unsigned numThreads() const { return numThreads_; }
@@ -95,27 +76,12 @@ class SyncDomain
     void
     arrive(NodeId node, std::coroutine_handle<> h)
     {
-        if (!ctx_) {
-            waiting_.push_back(h);
-            if (waiting_.size() < numThreads_)
-                return;
-            // Everyone is here: release the whole generation.
-            std::vector<std::coroutine_handle<>> batch;
-            batch.swap(waiting_);
-            completed_.fetch_add(1, std::memory_order_relaxed);
-            eq_->scheduleIn(barrierLatency_, [batch = std::move(batch)] {
-                for (auto handle : batch)
-                    handle.resume();
-            });
-            return;
-        }
-
-        // Sharded protocol. Publish this arrival (slot write, then max
-        // of the arrival tick, then the count — the completer's acquire
-        // on the count makes both visible), and let whoever arrives
-        // last schedule the release.
+        // Publish this arrival (slot write, then max of the arrival
+        // tick, then the count — the completer's acquire on the count
+        // makes both visible), and let whoever arrives last schedule
+        // the release.
         slots_[node] = h;
-        Tick t = ctx_->queueFor(node).now();
+        Tick t = sched_.queueFor(node).now();
         Tick seen = lastArrival_.load(std::memory_order_relaxed);
         while (t > seen &&
                !lastArrival_.compare_exchange_weak(
@@ -137,16 +103,14 @@ class SyncDomain
         for (NodeId n = 0; n < NodeId(slots_.size()); ++n) {
             std::coroutine_handle<> hn = slots_[n];
             slots_[n] = nullptr;
-            ctx_->post(n, release, chan::barrier(n),
-                       [hn] { hn.resume(); });
+            sched_.post(n, release, chan::barrier(n),
+                        [hn] { hn.resume(); });
         }
     }
 
-    EventQueue *eq_;
-    SimContext *ctx_ = nullptr; //!< set only for canonical engines
+    ParallelScheduler &sched_;
     unsigned numThreads_;
     Tick barrierLatency_;
-    std::vector<std::coroutine_handle<>> waiting_;
     std::vector<std::coroutine_handle<>> slots_; //!< per-node arrivals
     std::atomic<unsigned> arrived_{0};
     std::atomic<Tick> lastArrival_{0};

@@ -15,8 +15,8 @@
  * is the *container*: an insert into a hash map can rehash under a
  * concurrent reader of a different word. The store is therefore striped
  * by word address, and each stripe takes a tiny spin lock around its map
- * operations — but only when setConcurrent(true) was called, so the
- * sequential engine pays nothing.
+ * operations — but only when setConcurrent(true) was called, so a
+ * 1-shard run pays nothing.
  */
 
 #ifndef LTP_MEM_MEMORY_VALUES_HH
@@ -106,7 +106,7 @@ class MemoryValues
         mutable std::atomic_flag lock = ATOMIC_FLAG_INIT;
     };
 
-    /** Scoped stripe lock; a no-op for the sequential engine. */
+    /** Scoped stripe lock; a no-op unless setConcurrent(true). */
     class Guard
     {
       public:

@@ -14,9 +14,9 @@ Network::send(Message msg)
     // always clears the parallel engine's window. Only the pooled
     // handle crosses the shard boundary.
     Tick arrive = egressDone(msg) + params_.flightLatency;
-    MsgHandle h = pool().alloc(ctx().shardOf(msg.src), msg);
-    ctx().post(msg.dst, arrive, chan::pair(msg.src, msg.dst, numNodes()),
-               [this, h] { arriveAtIngress(h); });
+    MsgHandle h = pool().alloc(sched().shardOf(msg.src), msg);
+    sched().post(msg.dst, arrive, chan::pair(msg.src, msg.dst, numNodes()),
+                 [this, h] { arriveAtIngress(h); });
 }
 
 } // namespace ltp

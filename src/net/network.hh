@@ -27,14 +27,9 @@ namespace ltp
 class Network : public NiInterconnect
 {
   public:
-    Network(SimContext &ctx, NodeId num_nodes, NetworkParams params)
-        : NiInterconnect(ctx, num_nodes, params)
-    {
-    }
-
-    Network(EventQueue &eq, NodeId num_nodes, NetworkParams params,
-            StatGroup &stats)
-        : NiInterconnect(eq, num_nodes, params, stats)
+    Network(ParallelScheduler &sched, NodeId num_nodes,
+            NetworkParams params)
+        : NiInterconnect(sched, num_nodes, params)
     {
     }
 

@@ -8,43 +8,29 @@
 namespace ltp
 {
 
-NiInterconnect::NiInterconnect(SimContext &ctx, NodeId num_nodes,
+NiInterconnect::NiInterconnect(ParallelScheduler &sched, NodeId num_nodes,
                                NetworkParams params)
     : params_(params),
-      ctx_(&ctx),
-      pool_(ctx.numShards()),
+      sched_(sched),
+      pool_(sched.numShards()),
       niEgressFree_(num_nodes, 0),
       ingressQueue_(num_nodes),
-      ingressBusy_(num_nodes, false),
+      ingressBusy_(num_nodes, 0),
       sinks_(num_nodes)
 {
-    unsigned shards = ctx_->numShards();
+    unsigned shards = sched_.numShards();
     msgsSent_.reserve(shards);
     dataMsgs_.reserve(shards);
     endToEndLatency_.reserve(shards);
     latencyHist_.reserve(shards);
     for (unsigned s = 0; s < shards; ++s) {
-        StatGroup &stats = ctx_->shardStats(s);
+        StatGroup &stats = sched_.shardStats(s);
         msgsSent_.push_back(&stats.counter("net.msgs"));
         dataMsgs_.push_back(&stats.counter("net.dataMsgs"));
         endToEndLatency_.push_back(&stats.average("net.endToEndLatency"));
         latencyHist_.push_back(
             &stats.histogram("net.endToEndLatency", 32.0, 256));
     }
-}
-
-NiInterconnect::NiInterconnect(std::unique_ptr<SimContext> owned,
-                               NodeId num_nodes, NetworkParams params)
-    : NiInterconnect(*owned, num_nodes, params)
-{
-    ownedCtx_ = std::move(owned);
-}
-
-NiInterconnect::NiInterconnect(EventQueue &eq, NodeId num_nodes,
-                               NetworkParams params, StatGroup &stats)
-    : NiInterconnect(std::make_unique<SequentialContext>(eq, stats),
-                     num_nodes, params)
-{
 }
 
 void
@@ -62,7 +48,7 @@ NiInterconnect::injectLocalOrCount(Message &msg)
     msg.injectedAt = eq.now();
     obs::Tracer::instant(obs::Cat::Message, msg.src, "inject", eq.now(),
                          msg.dst, std::uint64_t(msg.type));
-    unsigned shard = ctx_->shardOf(msg.src);
+    unsigned shard = sched_.shardOf(msg.src);
     msgsSent_[shard]->inc();
     if (carriesData(msg.type))
         dataMsgs_[shard]->inc();
@@ -96,7 +82,7 @@ NiInterconnect::arriveAtIngress(MsgHandle h)
         return;
     }
     // Idle NI: service starts immediately — skip the queue round-trip.
-    ingressBusy_[dst] = true;
+    ingressBusy_[dst] = 1;
     serveIngress(dst, h);
 }
 
@@ -110,7 +96,7 @@ NiInterconnect::serveIngress(NodeId node, MsgHandle h)
         deliver(h);
         std::deque<MsgHandle> &queue = ingressQueue_[node];
         if (queue.empty()) {
-            ingressBusy_[node] = false;
+            ingressBusy_[node] = 0;
             return;
         }
         MsgHandle next = queue.front();
@@ -130,7 +116,7 @@ NiInterconnect::deliver(MsgHandle h)
     // destination node's track: inject -> (NI, flight, hops) -> deliver.
     obs::Tracer::span(obs::Cat::Message, msg.dst, msgTypeName(msg.type),
                       msg.injectedAt, q(msg.dst).now(), msg.src, msg.dst);
-    unsigned shard = ctx_->shardOf(msg.dst);
+    unsigned shard = sched_.shardOf(msg.dst);
     endToEndLatency_[shard]->sample(double(lat));
     latencyHist_[shard]->sample(double(lat));
     if (guard::Checks::on(obs::Cat::Message))

@@ -13,23 +13,23 @@
  * Sharding: every piece of NI state is owned by one node — the egress
  * server by the sender, the ingress queue and reorder state by the
  * receiver — and every event here runs on the owning node's queue
- * (SimContext::queueFor). Statistics are per-shard handles merged after
- * the run. The only cross-node step, handing a message from the
- * sender's fabric to the receiver, is the subclass's post() call.
+ * (ParallelScheduler::queueFor). Statistics are per-shard handles
+ * merged after the run. The only cross-node step, handing a message
+ * from the sender's fabric to the receiver, is the subclass's post()
+ * call.
  */
 
 #ifndef LTP_NET_NI_INTERCONNECT_HH
 #define LTP_NET_NI_INTERCONNECT_HH
 
-#include <cassert>
+#include <cstdint>
 #include <deque>
-#include <memory>
 #include <vector>
 
 #include "net/message.hh"
 #include "net/message_pool.hh"
 #include "net/topo/interconnect.hh"
-#include "sim/par/sim_context.hh"
+#include "sim/par/parallel_scheduler.hh"
 #include "sim/stats.hh"
 
 namespace ltp
@@ -44,26 +44,13 @@ class NiInterconnect : public Interconnect
     const NetworkParams &params() const override { return params_; }
 
   protected:
-    NiInterconnect(SimContext &ctx, NodeId num_nodes,
+    NiInterconnect(ParallelScheduler &sched, NodeId num_nodes,
                    NetworkParams params);
 
-    /** Sequential-engine convenience: owns a context over @p eq/@p stats. */
-    NiInterconnect(EventQueue &eq, NodeId num_nodes, NetworkParams params,
-                   StatGroup &stats);
-
     /** The queue @p node's events run on. */
-    EventQueue &q(NodeId node) { return ctx_->queueFor(node); }
+    EventQueue &q(NodeId node) { return sched_.queueFor(node); }
 
-    SimContext &ctx() { return *ctx_; }
-
-    /** Take ownership of the context a subclass built for a legacy
-     *  (EventQueue, StatGroup) constructor. @pre ctx() is *owned. */
-    void
-    adoptContext(std::unique_ptr<SimContext> owned)
-    {
-        assert(owned.get() == ctx_);
-        ownedCtx_ = std::move(owned);
-    }
+    ParallelScheduler &sched() { return sched_; }
 
     Tick niOccupancy(const Message &m) const
     {
@@ -99,14 +86,10 @@ class NiInterconnect : public Interconnect
     NetworkParams params_;
 
   private:
-    NiInterconnect(std::unique_ptr<SimContext> owned, NodeId num_nodes,
-                   NetworkParams params);
-
     /** Schedule @p h's ingress-NI service (ends occupancy from now). */
     void serveIngress(NodeId node, MsgHandle h);
 
-    SimContext *ctx_;
-    std::unique_ptr<SimContext> ownedCtx_; //!< legacy-constructor shim
+    ParallelScheduler &sched_;
     MessagePool pool_;
 
     // Shared stat names, one handle per shard (merged after the run).
@@ -119,8 +102,10 @@ class NiInterconnect : public Interconnect
     std::vector<Tick> niEgressFree_;
     /** Per-ingress-NI FIFO of arrived-but-undelivered messages. */
     std::vector<std::deque<MsgHandle>> ingressQueue_;
-    /** True while an ingress NI drain event is scheduled. */
-    std::vector<bool> ingressBusy_;
+    /** Nonzero while an ingress NI drain event is scheduled. One byte
+     *  per node: nodes on different shards write their flags
+     *  concurrently, and vector<bool> would pack them into shared words. */
+    std::vector<std::uint8_t> ingressBusy_;
     std::vector<Sink> sinks_;
 };
 

@@ -6,7 +6,6 @@
 
 #include "net/network.hh"
 #include "net/topo/routed_network.hh"
-#include "sim/par/sim_context.hh"
 
 namespace ltp
 {
@@ -54,59 +53,41 @@ validateNetworkParams(const NetworkParams &params, NodeId num_nodes)
     }
 }
 
+Tick
+oneHopLatency(const NetworkParams &params)
+{
+    if (params.topology == TopologyKind::PointToPoint) {
+        // Delivery is scheduled egress-serialization + flight ahead of
+        // the send event.
+        return params.flightLatency +
+               std::min(params.controlOccupancy, params.dataOccupancy);
+    }
+    // Guard the division; validateNetworkParams rejects a zero
+    // bandwidth with the descriptive error.
+    unsigned bw = std::max(params.linkBandwidth, 1u);
+    Tick ser_min = (params.headerBytes + bw - 1) / bw;
+    return ser_min + params.hopLatency + params.routerLatency;
+}
+
 NetLookahead
 networkLookahead(const NetworkParams &params)
 {
     NetLookahead la;
-    if (params.topology == TopologyKind::PointToPoint) {
-        // Delivery is scheduled egress-serialization + flight ahead of
-        // the send event.
-        la.ticks = params.flightLatency +
-                   std::min(params.controlOccupancy, params.dataOccupancy);
-    } else {
-        if (params.linkBandwidth == 0) {
-            // Invalid; reported properly by validateNetworkParams —
-            // just avoid dividing by it here.
-            la.serialReason = "linkBandwidth must be > 0 bytes/cycle";
-            return la;
-        }
-        Tick ser_min = (params.headerBytes + params.linkBandwidth - 1) /
-                       params.linkBandwidth;
-        la.ticks =
-            ser_min + params.hopLatency + params.routerLatency;
-        // Credit returns travel one wire hop back upstream.
-        if (params.vcDepth > 0)
-            la.ticks = std::min(la.ticks, params.hopLatency);
-    }
-    if (la.ticks == 0) {
-        la.serialReason =
-            "interconnect timing leaves no cross-node lookahead";
-    }
+    la.ticks = oneHopLatency(params);
+    // Credit returns travel one wire hop back upstream.
+    if (params.topology != TopologyKind::PointToPoint && params.vcDepth > 0)
+        la.ticks = std::min(la.ticks, params.hopLatency);
     return la;
 }
 
 std::unique_ptr<Interconnect>
-makeInterconnect(SimContext &ctx, NodeId num_nodes, NetworkParams params)
-{
-    validateNetworkParams(params, num_nodes);
-    if (ctx.numShards() > 1 && networkLookahead(params).ticks == 0) {
-        throw std::logic_error(
-            "multi-shard context with a serial-only interconnect "
-            "configuration (resolveShardPlan should have caught this)");
-    }
-    if (params.topology == TopologyKind::PointToPoint)
-        return std::make_unique<Network>(ctx, num_nodes, params);
-    return std::make_unique<RoutedNetwork>(ctx, num_nodes, params);
-}
-
-std::unique_ptr<Interconnect>
-makeInterconnect(EventQueue &eq, NodeId num_nodes, NetworkParams params,
-                 StatGroup &stats)
+makeInterconnect(ParallelScheduler &sched, NodeId num_nodes,
+                 NetworkParams params)
 {
     validateNetworkParams(params, num_nodes);
     if (params.topology == TopologyKind::PointToPoint)
-        return std::make_unique<Network>(eq, num_nodes, params, stats);
-    return std::make_unique<RoutedNetwork>(eq, num_nodes, params, stats);
+        return std::make_unique<Network>(sched, num_nodes, params);
+    return std::make_unique<RoutedNetwork>(sched, num_nodes, params);
 }
 
 } // namespace ltp

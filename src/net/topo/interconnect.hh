@@ -28,9 +28,7 @@
 namespace ltp
 {
 
-class EventQueue;
-class SimContext;
-class StatGroup;
+class ParallelScheduler;
 
 /** Timing and topology knobs for the interconnect. */
 struct NetworkParams
@@ -80,25 +78,27 @@ struct NetworkParams
 void validateNetworkParams(const NetworkParams &params, NodeId num_nodes);
 
 /**
+ * The minimum latency of one unloaded cross-node message: egress NI
+ * serialization + flight on the point-to-point model (84 cycles with
+ * Table 1 numbers), link serialization + wire + router pipeline on a
+ * routed one (80). Directory verification verdicts travel this far.
+ */
+Tick oneHopLatency(const NetworkParams &params);
+
+/**
  * The interconnect's guaranteed minimum cross-node latency — the
- * conservative lookahead the parallel engine's windows are built on.
+ * conservative lookahead the engine's windows are built on.
  */
 struct NetLookahead
 {
-    /** Minimum ticks between any cross-node cause and its effect; 0
-     *  when the model cannot shard at all. */
+    /** Minimum ticks between any cross-node cause and its effect. */
     Tick ticks = 0;
-    /** Why the model is serial-only (set iff ticks == 0). */
-    const char *serialReason = nullptr;
 };
 
 /**
- * Export the lookahead of the model @p params selects.
- *
- * Point-to-point: egress serialization + wire flight. Routed: every
- * cross-router interaction is at least one link serialization plus the
- * wire and router pipeline; with finite vcDepth the wire-delayed credit
- * return (hopLatency) bounds it instead. Every routing policy shards:
+ * Export the lookahead of the model @p params selects: oneHopLatency(),
+ * or the wire-delayed credit return (hopLatency) when a finite vcDepth
+ * bounds the routed input buffers. Every routing policy shards:
  * oblivious routing's coin flips are counter-based pure hashes of
  * (src, dst, netSeq, router), not a shared stream.
  */
@@ -131,16 +131,13 @@ class Interconnect
     virtual const NetworkParams &params() const = 0;
 };
 
-/** Build the interconnect selected by @p params.topology. */
-std::unique_ptr<Interconnect> makeInterconnect(SimContext &ctx,
+/**
+ * Build the interconnect selected by @p params.topology on @p sched.
+ * Standalone drivers and tests pass a 1-shard scheduler.
+ */
+std::unique_ptr<Interconnect> makeInterconnect(ParallelScheduler &sched,
                                                NodeId num_nodes,
                                                NetworkParams params);
-
-/** Sequential-engine convenience overload (standalone drivers/tests). */
-std::unique_ptr<Interconnect> makeInterconnect(EventQueue &eq,
-                                               NodeId num_nodes,
-                                               NetworkParams params,
-                                               StatGroup &stats);
 
 } // namespace ltp
 

@@ -23,9 +23,9 @@ linkStatName(const char *what, NodeId from, NodeId to)
 
 } // namespace
 
-RoutedNetwork::RoutedNetwork(SimContext &ctx, NodeId num_nodes,
+RoutedNetwork::RoutedNetwork(ParallelScheduler &sched, NodeId num_nodes,
                              NetworkParams params)
-    : NiInterconnect(ctx, num_nodes, params),
+    : NiInterconnect(sched, num_nodes, params),
       geom_(params.topology, num_nodes, params.meshWidth),
       linkIdx_(std::size_t(num_nodes) * num_nodes, -1),
       sendSeq_(std::size_t(num_nodes) * num_nodes, 0),
@@ -34,8 +34,8 @@ RoutedNetwork::RoutedNetwork(SimContext &ctx, NodeId num_nodes,
     assert(params_.topology != TopologyKind::PointToPoint &&
            "use Network for the point-to-point model");
 
-    for (unsigned s = 0; s < ctx.numShards(); ++s) {
-        StatGroup &stats = ctx.shardStats(s);
+    for (unsigned s = 0; s < sched.numShards(); ++s) {
+        StatGroup &stats = sched.shardStats(s);
         hops_.push_back(&stats.counter("net.hops"));
         hopsPerMsg_.push_back(&stats.average("net.hopsPerMsg"));
         escapeReroutes_.push_back(&stats.counter("net.escapeReroutes"));
@@ -52,7 +52,7 @@ RoutedNetwork::RoutedNetwork(SimContext &ctx, NodeId num_nodes,
     for (NodeId from = 0; from < num_nodes; ++from) {
         // A link's queue/credit/busy state is owned by its upstream
         // router's shard: its counters register there too.
-        StatGroup &stats = ctx.shardStats(ctx.shardOf(from));
+        StatGroup &stats = sched.shardStats(sched.shardOf(from));
         for (NodeId to : geom_.neighbors(from)) {
             linkIdx_[std::size_t(from) * num_nodes + to] =
                 int(links_.size());
@@ -69,20 +69,6 @@ RoutedNetwork::RoutedNetwork(SimContext &ctx, NodeId num_nodes,
             links_.push_back(std::move(link));
         }
     }
-}
-
-RoutedNetwork::RoutedNetwork(std::unique_ptr<SimContext> owned,
-                             NodeId num_nodes, NetworkParams params)
-    : RoutedNetwork(*owned, num_nodes, params)
-{
-    adoptContext(std::move(owned));
-}
-
-RoutedNetwork::RoutedNetwork(EventQueue &eq, NodeId num_nodes,
-                             NetworkParams params, StatGroup &stats)
-    : RoutedNetwork(std::make_unique<SequentialContext>(eq, stats),
-                    num_nodes, params)
-{
 }
 
 int
@@ -151,7 +137,7 @@ RoutedNetwork::send(Message msg)
     msg.netVcFlags = 0;
     NodeId src = msg.src;
     Tick clear = egressDone(msg);
-    MsgHandle h = pool().alloc(ctx().shardOf(src), msg);
+    MsgHandle h = pool().alloc(sched().shardOf(src), msg);
     q(src).scheduleAt(clear, [this, src, h] { forward(src, h, -1, 0); });
 }
 
@@ -296,7 +282,7 @@ RoutedNetwork::drainLink(std::size_t l)
         link.q.erase(link.q.begin() +
                      std::deque<Entry>::difference_type(blocked));
         const Message &msg = pool().at(e.h);
-        escapeReroutes_[ctx().shardOf(link.from)]->inc();
+        escapeReroutes_[sched().shardOf(link.from)]->inc();
         obs::Tracer::instant(obs::Cat::Link, link.from, "escape reroute",
                              q(link.from).now(), msg.dst);
         NodeId dor = geom_.nextHop(link.from, msg.dst);
@@ -344,7 +330,7 @@ RoutedNetwork::grantAt(std::size_t l, Entry e, Tick start)
     }
     link.msgs->inc();
     link.busyCycles->inc(ser);
-    hops_[ctx().shardOf(link.from)]->inc();
+    hops_[sched().shardOf(link.from)]->inc();
     // The wire-busy span on the upstream router's track: one grant =
     // one serialization window on link from->to via the allocated VC.
     obs::Tracer::span(obs::Cat::Link, link.from, "grant", start,
@@ -371,8 +357,8 @@ RoutedNetwork::grantAt(std::size_t l, Entry e, Tick start)
     Tick arrive = done + params_.hopLatency + params_.routerLatency;
     std::uint8_t vc = e.vc;
     MsgHandle h = e.h;
-    ctx().post(link.to, arrive, chan::link(l),
-               [this, l, vc, h] { arriveAtRouter(l, vc, h); });
+    sched().post(link.to, arrive, chan::link(l),
+                 [this, l, vc, h] { arriveAtRouter(l, vc, h); });
 }
 
 void
@@ -385,7 +371,7 @@ RoutedNetwork::scheduleCreditReturn(std::size_t l, std::uint8_t vc,
     // shard one wire hop upstream. @p from is the freeing grant's
     // (possibly virtual) start tick, >= the posting event's now.
     Tick when = from + params_.hopLatency;
-    ctx().post(links_[l].from, when, chan::credit(l), [this, l, vc] {
+    sched().post(links_[l].from, when, chan::credit(l), [this, l, vc] {
         Link &link = links_[l];
         ++link.credits[vc];
         assert(link.credits[vc] <= params_.vcDepth &&
@@ -429,7 +415,7 @@ RoutedNetwork::reorderDeliver(MsgHandle h)
     if (msg.netSeq != ps.nextSeq) {
         // An earlier injection of this pair is still in flight (adaptive
         // or oblivious routing took a different path); park this one.
-        reorderHeld_[ctx().shardOf(msg.dst)]->inc();
+        reorderHeld_[sched().shardOf(msg.dst)]->inc();
         ps.pending.emplace(msg.netSeq, h);
         return;
     }
@@ -447,7 +433,7 @@ void
 RoutedNetwork::deliver(MsgHandle h)
 {
     const Message &msg = pool().at(h);
-    hopsPerMsg_[ctx().shardOf(msg.dst)]->sample(
+    hopsPerMsg_[sched().shardOf(msg.dst)]->sample(
         double(geom_.hopCount(msg.src, msg.dst)));
     NiInterconnect::deliver(h);
 }

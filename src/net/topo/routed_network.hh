@@ -62,11 +62,8 @@ namespace ltp
 class RoutedNetwork : public NiInterconnect
 {
   public:
-    RoutedNetwork(SimContext &ctx, NodeId num_nodes,
+    RoutedNetwork(ParallelScheduler &sched, NodeId num_nodes,
                   NetworkParams params);
-
-    RoutedNetwork(EventQueue &eq, NodeId num_nodes, NetworkParams params,
-                  StatGroup &stats);
 
     void send(Message msg) override;
 
@@ -116,9 +113,6 @@ class RoutedNetwork : public NiInterconnect
     void guardCheckQuiesce() const;
 
   private:
-    RoutedNetwork(std::unique_ptr<SimContext> owned, NodeId num_nodes,
-                  NetworkParams params);
-
     /** A message waiting in an input buffer for one output link —
      *  16 bytes of handle + routing state, not a 56-byte Message copy. */
     struct Entry

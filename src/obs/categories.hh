@@ -2,18 +2,17 @@
  * @file
  * The one observability-category taxonomy.
  *
- * Debug logging (LTP_DEBUG, sim/log.hh) and event tracing (LTP_TRACE /
- * LTP_TRACE_CATS, obs/trace.hh) share this category set: the same name
- * selects a subsystem's debug lines and its trace events, so "turn on
- * the directory" is one word in either environment variable.
+ * Event tracing (LTP_TRACE / LTP_TRACE_CATS, obs/trace.hh) and the
+ * invariant checkers (LTP_CHECK, sim/guard/checkers.hh) share this
+ * category set, so "turn on the directory" is one word in either
+ * environment variable.
  *
  *   message    protocol-message lifecycle: injection, end-to-end
  *              delivery spans (NI layer, every interconnect model)
  *   link       routed-network physical links: per-hop serialization
  *              grants (with the allocated VC), escape reroutes
- *   directory  home-directory transactions: queueing + service spans,
- *              protocol debug lines
- *   cache      cache-controller debug lines (protocol actions)
+ *   directory  home-directory transactions: queueing + service spans
+ *   cache      cache-controller state (checker category)
  *   predictor  self-invalidation predictor: predictions, issued
  *              self-invalidations, verification outcomes, mispredictions
  *   engine     parallel-engine internals: conservative windows, barrier
@@ -59,7 +58,7 @@ catBit(Cat c)
     return 1u << unsigned(c);
 }
 
-/** Canonical lowercase name of @p c (the LTP_DEBUG/LTP_TRACE token). */
+/** Canonical lowercase name of @p c (the LTP_TRACE/LTP_CHECK token). */
 const char *catName(Cat c);
 
 /** Parse one category token ("directory"); nullopt when unknown. */

@@ -14,12 +14,12 @@
  * Zero perturbation by construction: the sampler never schedules
  * simulation events (a self-rescheduling sampler event would inflate
  * eventsExecuted and drag the run to maxTicks). Instead the engine
- * calls maybeSample() from instrumentation points where all simulated
- * state is quiescent — the EventQueue's tick watcher for sequential
- * runs, the conservative-window planning barrier for parallel ones.
- * Sample *timing* therefore quantizes to window boundaries under the
- * parallel engine, but sampled *values* are the same deterministic
- * merged statistics the final dump reports.
+ * calls maybeSample() at window starts, where all simulated state is
+ * quiescent — the conservative-window planning barrier on the staged
+ * path, EventQueue::runWindowed()'s round starts on one shard. Sample
+ * *timing* therefore quantizes to window boundaries, and since every
+ * shard count sees the same windows and merged statistics, the stream
+ * is identical at every shard count.
  *
  * JSONL schema (one object per line):
  *   {"tick": T, "sinceTick": T0, "events": deltaRetired,

@@ -32,7 +32,7 @@
  * pid = enginePidBase + shard. Timestamps are simulated ticks written
  * as trace microseconds: 1 us in the viewer == 1 simulated cycle.
  *
- * The tracer is a process-wide singleton (like Debug in sim/log.hh):
+ * The tracer is a process-wide singleton:
  * components emit without threading a pointer through every
  * constructor, and exactly one traced run is active at a time (a second
  * start() flushes and restarts).

@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "obs/trace.hh"
-#include "sim/log.hh"
 
 namespace ltp
 {
@@ -95,8 +94,6 @@ CacheController::access(Addr addr, Pc pc, bool is_write, AccessDone done)
 void
 CacheController::receive(const Message &msg)
 {
-    LTP_DPRINTF("cache", eq_.now(),
-                "node" << node_ << " " << msg.describe());
     switch (msg.type) {
       case MsgType::DataS:
       case MsgType::DataX:

@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "obs/trace.hh"
-#include "sim/log.hh"
 
 namespace ltp
 {
@@ -33,12 +32,15 @@ dirStateName(DirState s)
     return "?";
 }
 
-DirController::DirController(NodeId node, EventQueue &eq, Interconnect &net,
-                             DirParams params, StatGroup &stats)
+DirController::DirController(NodeId node, ParallelScheduler &sched,
+                             Interconnect &net, DirParams params,
+                             StatGroup &stats)
     : node_(node),
-      eq_(eq),
+      sched_(sched),
+      eq_(sched.queueFor(node)),
       net_(net),
       params_(params),
+      verifyDelay_(oneHopLatency(net.params())),
       queueing_(stats.average("dir.queueing")),
       service_(stats.average("dir.service")),
       requests_(stats.counter("dir.requests")),
@@ -87,8 +89,6 @@ Tick
 DirController::process(const Queued &q)
 {
     const Message &msg = q.msg;
-    LTP_DPRINTF("directory", eq_.now(),
-                "dir" << node_ << " " << msg.describe());
     switch (msg.type) {
       case MsgType::GetS:
       case MsgType::GetX: {
@@ -155,10 +155,24 @@ DirController::processVerification(const Message &msg, DirEntry &e)
             selfInvTimelyCorrect_.inc();
         else
             selfInvLateCorrect_.inc();
-        if (verifyHook_)
-            verifyHook_(n, blk, /*premature=*/false, timely);
+        reportVerdict(n, blk, /*premature=*/false, timely);
     }
     return verdict;
+}
+
+void
+DirController::reportVerdict(NodeId n, Addr blk, bool premature,
+                             bool timely)
+{
+    if (!verifyHook_)
+        return;
+    // The verdict trains another node's predictor, so it crosses shards
+    // like a message: one hop later, on its own channel, without NI
+    // occupancy. The delay is never below the engine's window.
+    sched_.post(n, eq_.now() + verifyDelay_, chan::verify(node_, n),
+                [this, n, blk, premature, timely] {
+                    verifyHook_(n, blk, premature, timely);
+                });
 }
 
 bool
@@ -448,8 +462,7 @@ DirController::handleSelfInvOrEvict(const Message &msg)
             // self-invalidation landing here was correct but late.
             if (is_self) {
                 selfInvLateCorrect_.inc();
-                if (verifyHook_)
-                    verifyHook_(n, blk, false, /*timely=*/false);
+                reportVerdict(n, blk, false, /*timely=*/false);
             }
             txn.awaitingWb = false;
             txn.ackedNodes |= bitOf(n);
@@ -459,8 +472,7 @@ DirController::handleSelfInvOrEvict(const Message &msg)
             // Racing a pending invalidation fan-out: count as the ack.
             if (is_self) {
                 selfInvLateCorrect_.inc();
-                if (verifyHook_)
-                    verifyHook_(n, blk, false, /*timely=*/false);
+                reportVerdict(n, blk, false, /*timely=*/false);
             }
             if (!(txn.ackedNodes & bitOf(n))) {
                 txn.ackedNodes |= bitOf(n);
@@ -490,8 +502,7 @@ DirController::handleSelfInvOrEvict(const Message &msg)
                     // correct and timely (the consumer never needs to
                     // ask).
                     selfInvTimelyCorrect_.inc();
-                    if (verifyHook_)
-                        verifyHook_(n, blk, /*premature=*/false, true);
+                    reportVerdict(n, blk, /*premature=*/false, true);
                     e.state = DirState::Shared;
                     e.addSharer(*next);
                     forwards_.inc();

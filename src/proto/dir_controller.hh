@@ -27,6 +27,7 @@
 #include "proto/sharing_predictor.hh"
 #include "sim/event_queue.hh"
 #include "sim/flat_map.hh"
+#include "sim/par/parallel_scheduler.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -55,17 +56,21 @@ struct DirParams
  * One directory controller, owned by its home node.
  *
  * Outgoing messages go through the Interconnect; verification outcomes for
- * self-invalidations are reported through a hook so that the requesting
- * node's predictor can be trained (hardware would piggyback these bits
- * on subsequent messages; see DESIGN.md).
+ * self-invalidations are reported through a hook so that the
+ * self-invalidating node's predictor can be trained. Hardware carries
+ * these bits on a message, so each verdict reaches the hook one network
+ * hop (oneHopLatency()) after the directory decides it, on the receiving
+ * node's shard, on channel chan::verify(home, node). A verdict uses no
+ * NI bandwidth and is not counted as a message.
  */
 class DirController
 {
   public:
-    /** (node, blk, premature, timely) — verification outcome for node. */
+    /** (node, blk, premature, timely) — verification outcome for node.
+     *  Runs on node's shard, one network hop after the verdict. */
     using VerifyHook = std::function<void(NodeId, Addr, bool, bool)>;
 
-    DirController(NodeId node, EventQueue &eq, Interconnect &net,
+    DirController(NodeId node, ParallelScheduler &sched, Interconnect &net,
                   DirParams params, StatGroup &stats);
 
     /** Deliver an inbound protocol message (network sink). */
@@ -119,6 +124,9 @@ class DirController
      */
     Verification processVerification(const Message &msg, DirEntry &e);
 
+    /** Deliver a verification verdict to @p n's hook one hop later. */
+    void reportVerdict(NodeId n, Addr blk, bool premature, bool timely);
+
     /** Compute the DSI candidate bit for a data reply. */
     bool dsiCandidate(const Message &req, const DirEntry &e,
                       bool migratory_exception) const;
@@ -136,9 +144,11 @@ class DirController
     void unlock(Addr blk);
 
     NodeId node_;
+    ParallelScheduler &sched_;
     EventQueue &eq_;
     Interconnect &net_;
     DirParams params_;
+    Tick verifyDelay_; //!< one network hop (oneHopLatency)
 
     Directory dir_;
     std::deque<Queued> inq_;

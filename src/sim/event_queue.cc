@@ -61,13 +61,6 @@ EventQueue::migrate()
     }
 }
 
-// Out of line: only reached when an armed watcher's threshold is hit.
-__attribute__((noinline)) void
-EventQueue::fireTickWatcher()
-{
-    watchAt_ = watcher_ ? watcher_(now_) : tickNever;
-}
-
 EventQueue::EventId
 EventQueue::scheduleKeyed(Tick when, std::uint64_t key, Callback cb)
 {
@@ -268,15 +261,14 @@ EventQueue::runUntil(Tick limit)
         executeSlot(std::uint32_t(slot));
         if ((executed_ & (beatPeriod - 1)) == 0)
             publishProgress();
-        if (now_ >= watchAt_)
-            fireTickWatcher();
     }
     publishProgress();
     return now_;
 }
 
 Tick
-EventQueue::runWindowed(Tick limit, Tick window)
+EventQueue::runWindowed(Tick limit, Tick window,
+                        const std::function<void(Tick)> &on_round)
 {
     std::int64_t slot;
     while (!abort_.load(std::memory_order_relaxed) &&
@@ -297,12 +289,12 @@ EventQueue::runWindowed(Tick limit, Tick window)
             if (obs::Tracer::on(obs::Cat::Engine))
                 obs::Tracer::engineSpan("window", when, windowEnd_ + 1,
                                         windowEnd_ - when + 1);
+            if (on_round)
+                on_round(when);
         }
         executeSlot(std::uint32_t(slot));
         if ((executed_ & (beatPeriod - 1)) == 0)
             publishProgress();
-        if (now_ >= watchAt_)
-            fireTickWatcher();
     }
     publishProgress();
     return now_;

@@ -33,9 +33,8 @@
  * tick's events execute in ascending key order:
  *
  *  - scheduleAt() events ("locals") take the queue's current even phase
- *    and channel 0, so with no rounds in play (the plain sequential
- *    engine: phase stays 0) same-tick order is pure FIFO — exactly the
- *    historical behaviour.
+ *    and channel 0, so with no rounds in play (a bare queue: phase
+ *    stays 0) same-tick order is pure FIFO.
  *
  *  - scheduleAtChannel() events ("channel posts") take the current odd
  *    phase (phase + 1) and the caller's channel id: at one tick they
@@ -138,7 +137,7 @@ class EventQueue
     /**
      * Open the next canonical round: subsequent scheduleAt() events sort
      * after every channel event of the previous round. Never needed by
-     * plain sequential users (the phase just stays 0). The packed key
+     * a bare queue (the phase just stays 0). The packed key
      * gives phases 32 bits: 2^31 rounds, which at the minimum window
      * of one tick per round outlives any realistic run by orders of
      * magnitude.
@@ -189,45 +188,20 @@ class EventQueue
      * separate peek-plan-execute pass per round. The 1-shard fast path
      * is this call; windowEnd() exposes the current round's end for the
      * post() lookahead assertion.
+     *
+     * @p on_round, when set, runs at each round start with the window's
+     * first tick — before that event executes, with every earlier event
+     * done. It is the metrics sampler's quiescent observation point and
+     * must not schedule events.
      */
-    Tick runWindowed(Tick limit, Tick window);
+    Tick runWindowed(Tick limit, Tick window,
+                     const std::function<void(Tick)> &on_round = {});
 
     /** End of the current canonical round (0 before the first one). */
     Tick windowEnd() const { return windowEnd_; }
 
     /** Total number of events executed so far. */
     std::uint64_t eventsExecuted() const { return executed_; }
-
-    /**
-     * Observer hook for the callback type of armTickWatcher(): invoked
-     * with the current tick, returns the next tick to watch for (or
-     * tickNever to disarm).
-     */
-    using TickWatcher = std::function<Tick(Tick)>;
-
-    /**
-     * Arm a watcher that fires between events, the first time simulated
-     * time reaches (or passes) @p at. The watcher runs at a quiescent
-     * point — after the event that crossed the threshold returned,
-     * before the next one pops — and must not schedule events: it is
-     * the zero-perturbation observation hook the metrics sampler
-     * (obs/metrics.hh) uses to take periodic StatGroup snapshots
-     * without touching eventsExecuted or the run's event stream.
-     * Disarmed cost is one predictable compare per executed event.
-     */
-    void
-    armTickWatcher(Tick at, TickWatcher fn)
-    {
-        watcher_ = std::move(fn);
-        watchAt_ = at;
-    }
-
-    void
-    disarmTickWatcher()
-    {
-        watcher_ = nullptr;
-        watchAt_ = tickNever;
-    }
 
     /**
      * Ask the run loops (runUntil/runWindowed/step) to stop before the
@@ -377,9 +351,6 @@ class EventQueue
     /** Move overflow events that entered the window into the ring. */
     void migrate();
 
-    /** Run the tick watcher and rearm/disarm from its return value. */
-    void fireTickWatcher();
-
     /**
      * Locate and dequeue the next live event with when <= @p limit.
      * Leaves it (and now_) untouched when the next event is beyond the
@@ -426,8 +397,6 @@ class EventQueue
     std::size_t liveEvents_ = 0;
     std::uint64_t executed_ = 0;
 
-    Tick watchAt_ = tickNever; //!< tickNever = watcher disarmed
-    TickWatcher watcher_;
     std::uint64_t windowedRounds_ = 0;
     std::uint64_t windowedTicksSum_ = 0;
     std::uint64_t overflowMigrations_ = 0;

@@ -3,8 +3,8 @@
  * Runtime protocol invariant checkers (LTP_CHECK).
  *
  * The category vocabulary is the obs taxonomy (obs/categories.hh) —
- * "turn on the directory" means the same word to LTP_DEBUG, LTP_TRACE
- * and LTP_CHECK:
+ * "turn on the directory" means the same word to LTP_TRACE and
+ * LTP_CHECK:
  *
  *   message    message conservation (injected == delivered at quiesce)
  *              and pairwise-FIFO delivery order (per (src, dst) netSeq

@@ -10,7 +10,7 @@
  * runExperiment() and the debug CLI):
  *
  *   LTP_CHECK=<cats>            arm invariant checkers; same category
- *                               vocabulary as LTP_DEBUG/LTP_TRACE_CATS
+ *                               vocabulary as LTP_TRACE_CATS
  *                               (obs/categories.hh): message = message
  *                               conservation + pairwise-FIFO delivery,
  *                               link = VC credit conservation, directory

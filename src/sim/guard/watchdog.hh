@@ -2,9 +2,9 @@
  * @file
  * Progress watchdog + resource guards.
  *
- * A monitor thread started around SimContext::runUntil() that samples
- * only atomic mirrors (EventQueue::tickApprox()/executedApprox(), the
- * WindowBarrier generation/arrival words, /proc/self/statm) — never the
+ * A monitor thread started around ParallelScheduler::runUntil() that
+ * samples only atomic mirrors (EventQueue::tickApprox()/executedApprox(),
+ * the WindowBarrier generation/arrival words, /proc/self/statm) — never the
  * engine's hot members — so it is data-race-free under TSan and costs
  * the simulation nothing. It detects:
  *
@@ -17,8 +17,8 @@
  *     size past their caps (runaway runs).
  *
  * On the first violation it calls the abort hook exactly once — which
- * routes to SimContext::requestAbort(), stopping every shard cleanly
- * within one event — and records the structured reason for
+ * routes to ParallelScheduler::requestAbort(), stopping every shard
+ * cleanly within one event — and records the structured reason for
  * RunResult::outcome. The run never hangs and never OOMs the host; a
  * sweep driver sees `aborted(<reason>)` for this run and moves on.
  */

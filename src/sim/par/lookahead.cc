@@ -1,6 +1,8 @@
 #include "sim/par/lookahead.hh"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace ltp
 {
@@ -8,31 +10,21 @@ namespace ltp
 ShardPlan
 resolveShardPlan(const LookaheadInputs &in)
 {
-    ShardPlan plan;
-    plan.shards = 1;
-
-    if (in.zeroLookaheadCoupling) {
-        plan.serialReason = in.zeroLookaheadCoupling;
-        return plan;
-    }
-    if (in.netLookahead == 0) {
-        plan.serialReason = in.netSerialReason
-                                ? in.netSerialReason
-                                : "interconnect has no cross-node lookahead";
-        return plan;
-    }
-
     // Barrier wakeups are posted barrierLatency ticks after the last
     // arrival, so they bound the window alongside the network.
     Tick window = std::min(in.netLookahead, in.barrierLatency);
     if (window < 1) {
-        plan.serialReason = "zero barrier latency leaves no lookahead";
-        return plan;
+        throw std::invalid_argument(
+            "no cross-node lookahead: network " +
+            std::to_string(in.netLookahead) + " ticks, barrier latency " +
+            std::to_string(in.barrierLatency) +
+            " ticks (both must be >= 1)");
     }
 
-    // A safe configuration always runs the canonical engine, even when
-    // only one thread is requested: a 1-shard canonical run is what the
-    // shards {1, 2, 4, ...} bit-identity guarantee is anchored on.
+    // One requested thread still runs the windowed engine: a 1-shard
+    // run is what the shards {1, 2, 4, ...} bit-identity guarantee is
+    // anchored on.
+    ShardPlan plan;
     plan.shards = std::max(1u, std::min<unsigned>(in.requestedThreads,
                                                   in.numNodes));
     plan.window = window;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Conservative-lookahead planning for the parallel engine.
+ * Conservative-lookahead planning for the engine.
  *
  * A node-partitioned run is only correct when every cross-shard
  * interaction is separated from its cause by at least the window width
@@ -11,26 +11,19 @@
  *
  *  - the network's exported lookahead (networkLookahead() in
  *    net/topo/interconnect.hh, passed in here as a plain number so the
- *    sim layer stays below net),
+ *    sim layer stays below net), and
  *  - the sync domain's barrier latency (barrier wakeups are the other
- *    cross-shard channel), and
- *  - system couplings with *zero* lookahead, which force the serial
- *    fallback: an Active predictor's directory-verification feedback is
- *    wired combinationally from the home directory into the
- *    self-invalidating node's predictor. (Oblivious routing used to be
- *    the other such coupling — its shared RNG was replaced by pure
- *    counter-based per-(src, dst) streams, so it now shards.)
+ *    cross-shard channel).
  *
- * The fallback is not a failure mode: a plan with shards == 1 simply
- * runs the historical sequential engine, so every configuration remains
- * supported and bit-reproducible; only configurations whose couplings
- * all have >= 1 cycle of lookahead execute on multiple threads.
+ * Directory verification verdicts travel one network hop, never less
+ * than the network's lookahead, so they need no input of their own.
+ * Every supported configuration has at least one tick of lookahead and
+ * runs the same windowed engine at every shard count; a configuration
+ * without one is rejected.
  */
 
 #ifndef LTP_SIM_PAR_LOOKAHEAD_HH
 #define LTP_SIM_PAR_LOOKAHEAD_HH
-
-#include <string>
 
 #include "sim/types.hh"
 
@@ -42,33 +35,28 @@ struct LookaheadInputs
 {
     unsigned requestedThreads = 1;
     NodeId numNodes = 1;
-    /** Minimum cross-node latency of the interconnect model; 0 when the
-     *  model cannot shard at all (serialReason explains why). */
+    /** Minimum cross-node latency of the interconnect model. */
     Tick netLookahead = 0;
-    const char *netSerialReason = nullptr;
     /** SyncDomain release delay (barrier wakeups cross shards). */
     Tick barrierLatency = 0;
-    /** Set when the run has a zero-lookahead cross-node coupling above
-     *  the network (Active predictor verification feedback). */
-    const char *zeroLookaheadCoupling = nullptr;
 };
 
 /** The engine configuration a run will actually use. */
 struct ShardPlan
 {
     unsigned shards = 1; //!< partitions/threads the engine runs
-    Tick window = 0;     //!< conservative window width L (canonical only)
-    /** Why the run fell back to the plain sequential engine (empty for
-     *  the canonical engine, whatever the shard count). */
-    std::string serialReason;
+    Tick window = 0;     //!< conservative window width L
 
-    /** True when the canonical windowed engine runs (any shard count). */
-    bool canonical() const { return serialReason.empty(); }
     /** True when more than one worker thread actually executes. */
     bool parallel() const { return shards > 1; }
 };
 
-/** Decide shards and window width for a run. */
+/**
+ * Decide shards and window width for a run.
+ *
+ * @throws std::invalid_argument when the network or barrier latency
+ *         leaves no lookahead (a window of zero ticks).
+ */
 ShardPlan resolveShardPlan(const LookaheadInputs &in);
 
 } // namespace ltp

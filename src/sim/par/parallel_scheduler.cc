@@ -136,6 +136,12 @@ ParallelScheduler::planWindow(Tick limit)
     // Metrics sampling belongs exactly here: the completion phase runs
     // serially with every other shard parked, so the merged StatGroup
     // is quiescent and reading it perturbs nothing the shards observe.
+    sampleWindow(w);
+}
+
+void
+ParallelScheduler::sampleWindow(Tick w)
+{
     if (sampler_ && w >= sampler_->nextDue())
         sampler_->maybeSample(w, stats(), eventsExecuted());
 }
@@ -215,10 +221,13 @@ ParallelScheduler::runDirect(Tick limit)
     // only round-boundary work left is advancing the queue's phase so
     // one round's channel posts sort before the next round's local
     // events — the same boundary the mailbox merge would have imposed.
-    // runWindowed() drives all of that inline at one compare per event.
+    // runWindowed() drives all of that inline at one compare per event,
+    // and calls back at each round start — the window start planWindow()
+    // would sample metrics at.
     tlsShard = 0;
     obs::Tracer::bindThread(0);
-    return parts_[0]->eq.runWindowed(limit, window_);
+    return parts_[0]->eq.runWindowed(limit, window_,
+                                     [this](Tick w) { sampleWindow(w); });
 }
 
 obs::EngineProfile

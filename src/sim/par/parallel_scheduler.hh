@@ -1,16 +1,37 @@
 /**
  * @file
- * ParallelScheduler: node-partitioned, conservative, bit-deterministic
- * parallel discrete-event engine.
+ * ParallelScheduler: the simulator's engine — node-partitioned,
+ * conservative, bit-deterministic discrete-event execution at every
+ * shard count, including one.
+ *
+ * Every component (network, controllers, thread contexts, sync domain)
+ * schedules its events through the scheduler: queueFor(node) is the
+ * queue a node's events run on, and post() is the only way to reach
+ * another node. The contract that makes sharding safe:
+ *
+ *  - All state a component mutates from an event belongs to one node
+ *    (or one link, owned by its upstream node), and that event runs on
+ *    the owning node's queue (queueFor()).
+ *
+ *  - The only cross-node interactions are post() calls, and every
+ *    post() targets a tick at least the lookahead window L beyond the
+ *    posting event. The network guarantees this through its minimum
+ *    link/flight latency (networkLookahead()); directory verification
+ *    verdicts travel one network hop; barrier wakeups wait
+ *    barrierLatency.
+ *
+ *  - post() carries a *channel id* identifying the logical FIFO the
+ *    event travels on (see namespace chan). A channel is only ever fed
+ *    by one shard, so the canonical (deliveryTick, channel) order is
+ *    deterministic: independent of thread timing AND of the shard
+ *    count.
  *
  * Nodes are split into S contiguous partitions, each owning a private
- * EventQueue and StatGroup. Intra-shard events execute exactly as in
- * the sequential engine; cross-shard interactions — which only occur
- * through SimContext::post(), every one of them at least the lookahead
- * window L beyond its cause — are exchanged at window barriers through
- * lock-free SPSC mailbox lanes.
+ * EventQueue and StatGroup. The engine has two run paths behind one
+ * ordering contract.
  *
- * One round (S > 1, the staged path):
+ * Staged (S > 1): cross-shard posts are exchanged at window barriers
+ * through lock-free SPSC mailbox lanes. One round:
  *
  *   1. apply inbox    every shard drains the lanes addressed to it,
  *                     sorted by (deliveryTick, channel): the canonical
@@ -26,49 +47,106 @@
  *                     see an effect before its cause.
  *   4. publish        barrier; lane writes become visible for step 1.
  *
- * The direct-dispatch fast path (S == 1): with a single shard there is
- * nothing to exchange, so post() skips the mailbox entirely and lands
- * in the owner queue through EventQueue::scheduleAtChannel(), whose
- * sorted same-tick buckets realize the identical (deliveryTick,
- * channel) order without staging, sorting, or barrier traffic. The
- * window loop survives only as a phase clock (EventQueue::beginRound()):
- * it derives the same round boundaries the staged engine would, which
- * pins where one round's posts sort relative to the next round's local
- * events — byte-identical output, none of the staging tax.
+ * Direct dispatch (S == 1): with a single shard there is nothing to
+ * exchange, so post() skips the mailbox entirely and lands in the owner
+ * queue through EventQueue::scheduleAtChannel(), whose sorted same-tick
+ * buckets realize the identical (deliveryTick, channel) order without
+ * staging, sorting, or barrier traffic. The window loop survives only
+ * as a phase clock (EventQueue::runWindowed()): it derives the same
+ * round boundaries the staged engine would, which pins where one
+ * round's posts sort relative to the next round's local events —
+ * byte-identical output, none of the staging tax.
  *
  * Determinism: each shard's execution is a function of its queue
  * content only; queue content is the deterministic intra-shard schedule
  * plus inbox applications in canonical order. Per-channel post order is
  * the feeding shard's deterministic execution order. Nothing observes
- * wall-clock interleaving, so S = 1 (fast path), S = 2 and S = 8
- * produce identical per-node event sequences — and identical (merged)
- * statistics.
+ * wall-clock interleaving, so S = 1, S = 2 and S = 8 produce identical
+ * per-node event sequences — and identical (merged) statistics.
  */
 
 #ifndef LTP_SIM_PAR_PARALLEL_SCHEDULER_HH
 #define LTP_SIM_PAR_PARALLEL_SCHEDULER_HH
 
 #include <atomic>
+#include <cstdint>
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "obs/engine_profile.hh"
-#include "sim/par/sim_context.hh"
+#include "sim/event_queue.hh"
 #include "sim/par/spsc_ring.hh"
 #include "sim/par/window_barrier.hh"
+#include "sim/stats.hh"
+#include "sim/types.hh"
 
 namespace ltp
 {
+
+/**
+ * Channel-id helpers for post(). The spaces are disjoint; ids only need
+ * to be unique per logical FIFO channel (and each channel must be fed
+ * from a single shard for the canonical merge order to be total).
+ *
+ * Ids must fit 32 bits (EventQueue packs them next to the round phase
+ * in one ordering word), so the space tag sits at bit 28: room for
+ * 2^28 ids per space — 16 K nodes' (src, dst) pairs, a million links.
+ */
+namespace chan
+{
+
+constexpr std::uint64_t spaceShift = 28;
+
+/** Point-to-point flight of the (src, dst) node pair. */
+constexpr std::uint64_t
+pair(NodeId src, NodeId dst, NodeId num_nodes)
+{
+    return (std::uint64_t(0) << spaceShift) |
+           (std::uint64_t(src) * num_nodes + dst);
+}
+
+/** Hop arrivals leaving physical link @p link_index. */
+constexpr std::uint64_t
+link(std::size_t link_index)
+{
+    return (std::uint64_t(1) << spaceShift) | link_index;
+}
+
+/** Credit returns for physical link @p link_index. */
+constexpr std::uint64_t
+credit(std::size_t link_index)
+{
+    return (std::uint64_t(2) << spaceShift) | link_index;
+}
+
+/** Barrier-release wakeups for @p node. */
+constexpr std::uint64_t
+barrier(NodeId node)
+{
+    return (std::uint64_t(3) << spaceShift) | node;
+}
+
+/** Verification verdicts from directory @p home to @p node (nodes fit
+ *  14 bits each, like pair()'s 16 K-node bound). */
+constexpr std::uint64_t
+verify(NodeId home, NodeId node)
+{
+    return (std::uint64_t(4) << spaceShift) |
+           (std::uint64_t(home) << 14) | node;
+}
+
+} // namespace chan
 
 namespace obs
 {
 class MetricsSampler;
 } // namespace obs
 
-/** The multi-shard SimContext (see file comment). */
-class ParallelScheduler final : public SimContext
+/** The engine (see file comment). */
+class ParallelScheduler final
 {
   public:
     /**
@@ -84,47 +162,63 @@ class ParallelScheduler final : public SimContext
      *                 posting event.
      */
     ParallelScheduler(unsigned shards, NodeId num_nodes, Tick window);
-    ~ParallelScheduler() override;
+    ~ParallelScheduler();
 
-    unsigned numShards() const override
-    {
-        return unsigned(parts_.size());
-    }
-    bool canonical() const override { return true; }
-    unsigned shardOf(NodeId node) const override { return shard_[node]; }
-    EventQueue &queueFor(NodeId node) override
-    {
-        return parts_[shard_[node]]->eq;
-    }
-    StatGroup &shardStats(unsigned shard) override
-    {
-        return parts_[shard]->stats;
-    }
-
-    void post(NodeId dst, Tick when, std::uint64_t chan,
-              EventQueue::Callback cb) override;
-
-    Tick runUntil(Tick limit) override;
-    Tick now() const override;
-    std::uint64_t eventsExecuted() const override;
+    /** Number of partitions events are sharded over. */
+    unsigned numShards() const { return unsigned(parts_.size()); }
+    /** Partition that owns @p node's events. */
+    unsigned shardOf(NodeId node) const { return shard_[node]; }
+    /** The event queue @p node's events run on. */
+    EventQueue &queueFor(NodeId node) { return parts_[shard_[node]]->eq; }
+    /** Statistics registry of partition @p shard. */
+    StatGroup &shardStats(unsigned shard) { return parts_[shard]->stats; }
 
     /**
-     * Stop the engine from any thread: raises every shard queue's abort
-     * flag, sets the stop flag, and tears down the window barrier so
-     * parked shards wake and exit their worker loops instead of waiting
-     * for a round that will never complete.
+     * Schedule @p cb at absolute tick @p when on @p dst's queue, from an
+     * event possibly running on another shard.
+     *
+     * @p chan identifies the logical FIFO the event belongs to (see
+     * namespace chan). @p when must be at least the lookahead window
+     * beyond the posting event's tick.
      */
-    void requestAbort(const std::string &reason) override;
-    std::string abortReason() const override;
+    void post(NodeId dst, Tick when, std::uint64_t chan,
+              EventQueue::Callback cb);
 
-    Tick tickApprox() const override;
-    std::uint64_t executedApprox() const override;
+    /** Drive the simulation until drained or beyond @p limit. */
+    Tick runUntil(Tick limit);
+    /** Latest tick any partition has reached. */
+    Tick now() const;
+    /** Total events executed across all partitions. */
+    std::uint64_t eventsExecuted() const;
+
+    /**
+     * Stop a running runUntil() cleanly with @p reason, from any thread
+     * (the guard watchdog); the first reason wins. Raises every shard
+     * queue's abort flag, sets the stop flag, and tears down the window
+     * barrier so parked shards wake and exit their worker loops instead
+     * of waiting for a round that will never complete. Pending events
+     * stay queued and runUntil() returns normally.
+     */
+    void requestAbort(const std::string &reason);
+    /** The winning requestAbort() reason; empty when none fired. */
+    std::string abortReason() const;
+
+    /**
+     * Watchdog progress probes: monitor-thread-safe (atomic mirrors),
+     * may trail the true values by a publication beat. See
+     * EventQueue::tickApprox().
+     */
+    Tick tickApprox() const;
+    std::uint64_t executedApprox() const;
 
     /** The round barrier (watchdog stall probes); staged path only. */
     const WindowBarrier &barrier() const { return barrier_; }
 
-    /** Aggregate view over the per-shard groups (rebuilt per call). */
-    StatGroup &stats() override;
+    /**
+     * The whole run's statistics: the per-shard groups merged into an
+     * aggregate view (rebuilt on each call).
+     */
+    StatGroup &stats();
 
     Tick window() const { return window_; }
 
@@ -132,12 +226,13 @@ class ParallelScheduler final : public SimContext
     bool directDispatch() const { return parts_.size() == 1; }
 
     /**
-     * Attach (or detach, nullptr) a metrics sampler. The staged engine
-     * samples from planWindow()'s serial completion phase — every shard
-     * parked at the barrier, merged statistics quiescent — so sampling
-     * perturbs nothing and quantizes to window boundaries. The sampler
-     * must outlive the run. (The S == 1 fast path has no barrier; the
-     * harness samples it through EventQueue::armTickWatcher instead.)
+     * Attach (or detach, nullptr) a metrics sampler. It samples at
+     * window starts, with every event before the window executed and
+     * merged statistics quiescent: from planWindow()'s serial completion
+     * phase (every shard parked at the barrier) on the staged path, and
+     * from runWindowed()'s round starts under direct dispatch. Both see
+     * the same windows, so the samples are shard-count-invariant. The
+     * sampler must outlive the run.
      */
     void setMetricsSampler(obs::MetricsSampler *sampler)
     {
@@ -207,6 +302,8 @@ class ParallelScheduler final : public SimContext
     void workerLoop(unsigned shard, Tick limit);
     void applyInbox(unsigned shard);
     void planWindow(Tick limit);
+    /** Sample metrics at window start @p w when one is due. */
+    void sampleWindow(Tick w);
     /** The S == 1 engine: same windows and order, no staging. */
     Tick runDirect(Tick limit);
 

@@ -15,7 +15,8 @@
  * machine with fewer cores than shards — the waiter parks on a futex
  * keyed to the generation word instead of burning its timeslice, and
  * the releasing thread wakes the parked set only when someone actually
- * sleeps (a flag keeps the common all-spinners round syscall-free).
+ * sleeps (a count of parked waiters keeps the common all-spinners round
+ * syscall-free).
  * On non-Linux hosts the park degrades to std::this_thread::yield().
  * Oversubscribed runs (more parties than cores) skip the spin phase
  * entirely: spinning there only steals the running shard's timeslice.
@@ -76,17 +77,20 @@ class WindowBarrier
             completion();
             arrived_.store(0, std::memory_order_relaxed);
             // Publish the new generation BEFORE reading the sleeper
-            // flag: a waiter that sets the flag after our exchange is
+            // count: a waiter that registers after our load is
             // guaranteed to observe the new generation (or to have its
             // futex-wait bounce off the changed word), so no wake-up
             // can be lost. Both sides of this Dekker-style handshake
-            // (store generation / load sleepers here, store sleepers /
+            // (store generation / load sleepers here, add sleeper /
             // load generation in park()) must be seq_cst: with mere
             // release ordering a weakly ordered machine could hoist
             // the sleepers_ read above the generation publish and
             // elide the wake for a waiter that then sleeps forever.
+            // A count, not a flag the releaser clears: a waiter of the
+            // NEXT generation can register before this release reads
+            // it, and clearing would swallow that waiter's wake-up.
             generation_.fetch_add(1, std::memory_order_seq_cst);
-            if (sleepers_.exchange(false, std::memory_order_seq_cst))
+            if (sleepers_.load(std::memory_order_seq_cst) != 0)
                 wakeAll();
             return false;
         }
@@ -125,7 +129,6 @@ class WindowBarrier
     {
         aborted_.store(true, std::memory_order_seq_cst);
         generation_.fetch_add(1, std::memory_order_seq_cst);
-        sleepers_.exchange(false, std::memory_order_seq_cst);
         wakeAll();
     }
 
@@ -170,12 +173,13 @@ class WindowBarrier
     {
         parks_.fetch_add(1, std::memory_order_relaxed);
 #if defined(__linux__)
-        sleepers_.store(true, std::memory_order_seq_cst);
+        sleepers_.fetch_add(1, std::memory_order_seq_cst);
         // FUTEX_WAIT re-checks the word against gen atomically in the
         // kernel: if the releaser already bumped the generation this
         // returns immediately with EAGAIN instead of sleeping.
         syscall(SYS_futex, reinterpret_cast<std::uint32_t *>(&generation_),
                 FUTEX_WAIT_PRIVATE, gen, nullptr, nullptr, 0);
+        sleepers_.fetch_sub(1, std::memory_order_relaxed);
 #else
         (void)gen;
         std::this_thread::yield();
@@ -198,8 +202,8 @@ class WindowBarrier
      *  is harmless (waiters only test inequality, and 2^32 windows is
      *  far beyond any run). */
     std::atomic<std::uint32_t> generation_{0};
-    /** Set by a parking waiter; cleared (and acted on) by the releaser. */
-    std::atomic<bool> sleepers_{false};
+    /** Waiters inside park(); the releaser wakes when nonzero. */
+    std::atomic<unsigned> sleepers_{0};
     std::atomic<std::uint64_t> parks_{0};
     /** Torn down by abort(); waiters fall through from then on. */
     std::atomic<bool> aborted_{false};

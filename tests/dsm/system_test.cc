@@ -77,6 +77,21 @@ TEST(SimThreads, SystemRejectsOutOfRangeThreadCounts)
     EXPECT_NO_THROW(DsmSystem{max_ok});
 }
 
+TEST(DsmSystem, ZeroLookaheadConfigurationsThrow)
+{
+    // The engine's windows need at least one tick between every
+    // cross-node cause and effect, at any thread count.
+    SystemParams instant_net;
+    instant_net.net.flightLatency = 0;
+    instant_net.net.controlOccupancy = 0;
+    EXPECT_THROW(DsmSystem{instant_net}, std::invalid_argument);
+
+    SystemParams instant_barrier;
+    instant_barrier.barrierLatency = 0;
+    instant_barrier.simThreads = 2;
+    EXPECT_THROW(DsmSystem{instant_barrier}, std::invalid_argument);
+}
+
 TEST(DsmSystem, RunTwiceThrows)
 {
     DsmSystem sys(SystemParams::base());

@@ -93,10 +93,6 @@ runDebug(int argc, char **argv)
     }
 
     ltp::DsmSystem sys(sp);
-    if (!sys.shardPlan().canonical() && sp.simThreads > 1) {
-        std::cout << "# serial fallback: " << sys.shardPlan().serialReason
-                  << "\n";
-    }
     auto kernel = ltp::makeKernel(spec.kernel);
     ltp::RunResult r = sys.run(*kernel, cfg);
 

@@ -36,14 +36,13 @@ class SyncTest : public ::testing::Test
 
     SyncTest() : homes_(4096, kNodes)
     {
-        net_ = std::make_unique<Network>(eq_, kNodes, NetworkParams{},
-                                         stats_);
-        sync_ = std::make_unique<SyncDomain>(eq_, kNodes, 200);
+        net_ = std::make_unique<Network>(sched_, kNodes, NetworkParams{});
+        sync_ = std::make_unique<SyncDomain>(sched_, kNodes, 200);
         for (NodeId n = 0; n < kNodes; ++n) {
             caches_.push_back(std::make_unique<CacheController>(
                 n, eq_, *net_, homes_, CacheParams{}, stats_));
             dirs_.push_back(std::make_unique<DirController>(
-                n, eq_, *net_, DirParams{}, stats_));
+                n, sched_, *net_, DirParams{}, stats_));
             threads_.push_back(std::make_unique<ThreadCtx>(
                 n, eq_, *caches_[n], mem_, *sync_, 1));
         }
@@ -75,13 +74,15 @@ class SyncTest : public ::testing::Test
         tasks_ = std::move(tasks);
         for (std::size_t i = 0; i < tasks_.size(); ++i)
             tasks_[i].start(&done_[i]);
-        eq_.runUntil(100'000'000);
+        sched_.runUntil(100'000'000);
         for (auto &t : tasks_)
             ASSERT_TRUE(t.done()) << "thread deadlocked";
     }
 
-    EventQueue eq_;
-    StatGroup stats_;
+    ParallelScheduler sched_{1, kNodes,
+                             networkLookahead(NetworkParams{}).ticks};
+    EventQueue &eq_ = sched_.queueFor(0);
+    StatGroup &stats_ = sched_.shardStats(0);
     HomeMap homes_;
     MemoryValues mem_;
     std::unique_ptr<Network> net_;

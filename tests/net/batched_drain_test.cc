@@ -26,7 +26,7 @@
 #include "dsm/system.hh"
 #include "kernel/kernels.hh"
 #include "net/topo/routed_network.hh"
-#include "sim/event_queue.hh"
+#include "sim/par/parallel_scheduler.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 
@@ -43,13 +43,13 @@ TEST(BatchedDrain, CongestedBoundedMeshKeepsPairwiseFifo)
     // unbatched engine would have re-arbitrated.
     constexpr NodeId kNodes = 16;
     constexpr int kMessages = 500;
-    EventQueue eq;
-    StatGroup stats;
     NetworkParams params;
     params.topology = TopologyKind::Mesh2D;
     params.routing = RoutingPolicy::DimensionOrder;
     params.vcDepth = 1;
-    RoutedNetwork net(eq, kNodes, params, stats);
+    ParallelScheduler sched(1, kNodes, networkLookahead(params).ticks);
+    EventQueue &eq = sched.queueFor(0);
+    RoutedNetwork net(sched, kNodes, params);
     ASSERT_TRUE(net.bounded());
 
     using Pair = std::pair<NodeId, NodeId>;
@@ -72,7 +72,7 @@ TEST(BatchedDrain, CongestedBoundedMeshKeepsPairwiseFifo)
             net.send(m);
         });
     }
-    eq.run();
+    sched.runUntil(tickNever);
 
     std::size_t delivered = 0;
     for (const auto &[pair, tags] : sent) {

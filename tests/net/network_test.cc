@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "net/network.hh"
-#include "sim/event_queue.hh"
+#include "sim/par/parallel_scheduler.hh"
 
 namespace ltp
 {
@@ -38,7 +38,7 @@ TEST(Message, DescribeIsReadable)
 class NetworkTest : public ::testing::Test
 {
   protected:
-    NetworkTest() : net_(eq_, 4, NetworkParams{}, stats_)
+    NetworkTest() : net_(sched_, 4, NetworkParams{})
     {
         for (NodeId n = 0; n < 4; ++n) {
             net_.setSink(n, [this, n](const Message &m) {
@@ -65,8 +65,9 @@ class NetworkTest : public ::testing::Test
         Tick when;
     };
 
-    EventQueue eq_;
-    StatGroup stats_;
+    ParallelScheduler sched_{1, 4, networkLookahead(NetworkParams{}).ticks};
+    EventQueue &eq_ = sched_.queueFor(0);
+    StatGroup &stats_ = sched_.shardStats(0);
     Network net_;
     std::vector<Arrival> arrivals_;
 };
@@ -74,7 +75,7 @@ class NetworkTest : public ::testing::Test
 TEST_F(NetworkTest, DeliversToCorrectSink)
 {
     net_.send(msg(MsgType::GetS, 0, 2));
-    eq_.run();
+    sched_.runUntil(tickNever);
     ASSERT_EQ(arrivals_.size(), 1u);
     EXPECT_EQ(arrivals_[0].node, 2u);
     EXPECT_EQ(arrivals_[0].msg.type, MsgType::GetS);
@@ -83,7 +84,7 @@ TEST_F(NetworkTest, DeliversToCorrectSink)
 TEST_F(NetworkTest, RemoteLatencyIsFlightPlusNiOccupancies)
 {
     net_.send(msg(MsgType::GetS, 0, 1));
-    eq_.run();
+    sched_.runUntil(tickNever);
     // control: egress 4 + flight 80 + ingress 4
     EXPECT_EQ(arrivals_[0].when, 88u);
 }
@@ -91,7 +92,7 @@ TEST_F(NetworkTest, RemoteLatencyIsFlightPlusNiOccupancies)
 TEST_F(NetworkTest, DataMessagesSerializeLonger)
 {
     net_.send(msg(MsgType::DataS, 0, 1));
-    eq_.run();
+    sched_.runUntil(tickNever);
     // data: egress 12 + flight 80 + ingress 12
     EXPECT_EQ(arrivals_[0].when, 104u);
 }
@@ -99,7 +100,7 @@ TEST_F(NetworkTest, DataMessagesSerializeLonger)
 TEST_F(NetworkTest, LocalDeliveryBypassesNetwork)
 {
     net_.send(msg(MsgType::GetS, 3, 3));
-    eq_.run();
+    sched_.runUntil(tickNever);
     EXPECT_EQ(arrivals_[0].when, 1u);
 }
 
@@ -109,7 +110,7 @@ TEST_F(NetworkTest, PairwiseFifoPreserved)
     // must still arrive in order on the same (src, dst) pair.
     net_.send(msg(MsgType::DataS, 0, 1, 0x100));
     net_.send(msg(MsgType::GetS, 0, 1, 0x200));
-    eq_.run();
+    sched_.runUntil(tickNever);
     ASSERT_EQ(arrivals_.size(), 2u);
     EXPECT_EQ(arrivals_[0].msg.addr, 0x100u);
     EXPECT_EQ(arrivals_[1].msg.addr, 0x200u);
@@ -122,7 +123,7 @@ TEST_F(NetworkTest, EgressContentionQueues)
     // the first's egress occupancy.
     net_.send(msg(MsgType::GetS, 0, 1));
     net_.send(msg(MsgType::GetS, 0, 2));
-    eq_.run();
+    sched_.runUntil(tickNever);
     ASSERT_EQ(arrivals_.size(), 2u);
     EXPECT_EQ(arrivals_[0].when, 88u);
     EXPECT_EQ(arrivals_[1].when, 92u); // +4 egress occupancy
@@ -135,7 +136,7 @@ TEST_F(NetworkTest, IngressContentionQueues)
     net_.send(msg(MsgType::GetS, 0, 3));
     net_.send(msg(MsgType::GetS, 1, 3));
     net_.send(msg(MsgType::GetS, 2, 3));
-    eq_.run();
+    sched_.runUntil(tickNever);
     ASSERT_EQ(arrivals_.size(), 3u);
     EXPECT_EQ(arrivals_[0].when, 88u);
     EXPECT_EQ(arrivals_[1].when, 92u);
@@ -146,7 +147,7 @@ TEST_F(NetworkTest, CountsMessages)
 {
     net_.send(msg(MsgType::GetS, 0, 1));
     net_.send(msg(MsgType::DataS, 1, 0));
-    eq_.run();
+    sched_.runUntil(tickNever);
     EXPECT_EQ(stats_.counterValue("net.msgs"), 2u);
     EXPECT_EQ(stats_.counterValue("net.dataMsgs"), 1u);
 }
@@ -155,7 +156,7 @@ TEST_F(NetworkTest, ManyMessagesAllDelivered)
 {
     for (int i = 0; i < 100; ++i)
         net_.send(msg(MsgType::GetS, NodeId(i % 4), NodeId((i + 1) % 4)));
-    eq_.run();
+    sched_.runUntil(tickNever);
     EXPECT_EQ(arrivals_.size(), 100u);
 }
 

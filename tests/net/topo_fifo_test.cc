@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "net/topo/interconnect.hh"
-#include "sim/event_queue.hh"
+#include "sim/par/parallel_scheduler.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 
@@ -56,13 +56,14 @@ randomType(Rng &rng)
 
 TEST_P(TopoFifoTest, PairwiseFifoUnderRandomContention)
 {
-    EventQueue eq;
-    StatGroup stats;
     NetworkParams params;
     params.topology = GetParam().topo;
     params.routing = GetParam().routing;
     params.vcDepth = GetParam().vcDepth;
-    auto net = makeInterconnect(eq, kNodes, params, stats);
+    ParallelScheduler sched(1, kNodes, networkLookahead(params).ticks);
+    EventQueue &eq = sched.queueFor(0);
+    StatGroup &stats = sched.shardStats(0);
+    auto net = makeInterconnect(sched, kNodes, params);
     ASSERT_EQ(net->topology(), GetParam().topo);
 
     using Pair = std::pair<NodeId, NodeId>;
@@ -93,7 +94,7 @@ TEST_P(TopoFifoTest, PairwiseFifoUnderRandomContention)
             net->send(m);
         });
     }
-    eq.run();
+    sched.runUntil(tickNever);
 
     std::size_t delivered = 0;
     for (const auto &[pair, tags] : sent) {

@@ -9,7 +9,7 @@
 #include "net/network.hh"
 #include "net/topo/routed_network.hh"
 #include "net/topo/topology.hh"
-#include "sim/event_queue.hh"
+#include "sim/par/parallel_scheduler.hh"
 #include "sim/stats.hh"
 
 namespace ltp
@@ -60,39 +60,38 @@ TEST(TopologyGeometry, NonDividingWidthIsAHardError)
 
 TEST(NetworkParamsValidation, RejectsBadCombinations)
 {
-    EventQueue eq;
-    StatGroup stats;
+    ParallelScheduler sched(1, 32, /*window=*/80); // never runs
 
     NetworkParams bad_width;
     bad_width.topology = TopologyKind::Mesh2D;
     bad_width.meshWidth = 5;
-    EXPECT_THROW(makeInterconnect(eq, 32, bad_width, stats),
+    EXPECT_THROW(makeInterconnect(sched, 32, bad_width),
                  std::invalid_argument);
 
     NetworkParams no_bw;
     no_bw.linkBandwidth = 0;
-    EXPECT_THROW(makeInterconnect(eq, 32, no_bw, stats),
+    EXPECT_THROW(makeInterconnect(sched, 32, no_bw),
                  std::invalid_argument);
 
     // A wrap topology needs two escape VCs; adaptive routing one more.
     NetworkParams few_vcs;
     few_vcs.topology = TopologyKind::Torus2D;
     few_vcs.vcCount = 1;
-    EXPECT_THROW(makeInterconnect(eq, 16, few_vcs, stats),
+    EXPECT_THROW(makeInterconnect(sched, 16, few_vcs),
                  std::invalid_argument);
     few_vcs.vcCount = 2;
-    EXPECT_NO_THROW(makeInterconnect(eq, 16, few_vcs, stats));
+    EXPECT_NO_THROW(makeInterconnect(sched, 16, few_vcs));
     few_vcs.routing = RoutingPolicy::MinimalAdaptive;
-    EXPECT_THROW(makeInterconnect(eq, 16, few_vcs, stats),
+    EXPECT_THROW(makeInterconnect(sched, 16, few_vcs),
                  std::invalid_argument);
 
     // Dividing widths and the auto layout stay valid.
     NetworkParams good;
     good.topology = TopologyKind::Mesh2D;
     good.meshWidth = 8;
-    EXPECT_NO_THROW(makeInterconnect(eq, 32, good, stats));
+    EXPECT_NO_THROW(makeInterconnect(sched, 32, good));
     good.meshWidth = 0;
-    EXPECT_NO_THROW(makeInterconnect(eq, 32, good, stats));
+    EXPECT_NO_THROW(makeInterconnect(sched, 32, good));
 }
 
 TEST(TopologyGeometry, CoordRoundTrip)
@@ -266,14 +265,15 @@ class RoutedNetworkTest : public ::testing::Test
     Tick
     oneMessageLatency(NodeId src, NodeId dst)
     {
-        EventQueue eq;
-        StatGroup stats;
-        RoutedNetwork net(eq, 16, meshParams(), stats);
+        NetworkParams p = meshParams();
+        ParallelScheduler sched(1, 16, networkLookahead(p).ticks);
+        EventQueue &eq = sched.queueFor(0);
+        RoutedNetwork net(sched, 16, p);
         Tick arrived = 0;
         for (NodeId n = 0; n < 16; ++n)
             net.setSink(n, [&, n](const Message &) { arrived = eq.now(); });
         net.send(msg(MsgType::GetS, src, dst));
-        eq.run();
+        sched.runUntil(tickNever);
         return arrived;
     }
 };
@@ -311,14 +311,15 @@ TEST_F(RoutedNetworkTest, DefaultKnobsMatchPaperFlightLatencyAtOneHop)
     // p2p end-to-end for a control message: egress NI + flight + ingress.
     Tick p2p;
     {
-        EventQueue eq;
-        StatGroup stats;
-        Network net(eq, 16, NetworkParams{}, stats);
+        NetworkParams p2p_params;
+        ParallelScheduler sched(1, 16, networkLookahead(p2p_params).ticks);
+        EventQueue &eq = sched.queueFor(0);
+        Network net(sched, 16, p2p_params);
         Tick arrived = 0;
         for (NodeId n = 0; n < 16; ++n)
             net.setSink(n, [&](const Message &) { arrived = eq.now(); });
         net.send(msg(MsgType::GetS, 0, 1));
-        eq.run();
+        sched.runUntil(tickNever);
         p2p = arrived;
     }
     EXPECT_EQ(p2p, p.controlOccupancy + p.flightLatency +
@@ -342,9 +343,9 @@ TEST_F(RoutedNetworkTest, MeshLatencyGrowsWithManhattanDistance)
 
 TEST_F(RoutedNetworkTest, SharedLinkContentionSerializes)
 {
-    EventQueue eq;
-    StatGroup stats;
-    RoutedNetwork net(eq, 16, meshParams(), stats);
+    ParallelScheduler sched(1, 16, networkLookahead(meshParams()).ticks);
+    EventQueue &eq = sched.queueFor(0);
+    RoutedNetwork net(sched, 16, meshParams());
     std::vector<std::pair<Addr, Tick>> arrivals;
     for (NodeId n = 0; n < 16; ++n)
         net.setSink(n, [&](const Message &m) {
@@ -356,7 +357,7 @@ TEST_F(RoutedNetworkTest, SharedLinkContentionSerializes)
     // behind the data message at every link and at the ingress NI.
     net.send(msg(MsgType::DataS, 0, 2, 0xA));
     net.send(msg(MsgType::GetS, 0, 2, 0xB));
-    eq.run();
+    sched.runUntil(tickNever);
     ASSERT_EQ(arrivals.size(), 2u);
     NetworkParams p = meshParams();
 
@@ -378,14 +379,14 @@ TEST_F(RoutedNetworkTest, SharedLinkContentionSerializes)
 
 TEST_F(RoutedNetworkTest, LinkAndHopStatsPopulated)
 {
-    EventQueue eq;
-    StatGroup stats;
-    RoutedNetwork net(eq, 16, meshParams(), stats);
+    ParallelScheduler sched(1, 16, networkLookahead(meshParams()).ticks);
+    StatGroup &stats = sched.shardStats(0);
+    RoutedNetwork net(sched, 16, meshParams());
     for (NodeId n = 0; n < 16; ++n)
         net.setSink(n, [](const Message &) {});
 
     net.send(msg(MsgType::GetS, 0, 2)); // route 0 -> 1 -> 2
-    eq.run();
+    sched.runUntil(tickNever);
 
     EXPECT_EQ(stats.counterValue("net.hops"), 2u);
     NetworkParams p = meshParams();
@@ -402,19 +403,18 @@ TEST_F(RoutedNetworkTest, LinkAndHopStatsPopulated)
 
 TEST_F(RoutedNetworkTest, LinkCountsMatchTopology)
 {
-    EventQueue eq;
-    StatGroup stats;
+    ParallelScheduler sched(1, 16, /*window=*/80); // never runs
 
     NetworkParams mesh = meshParams();
-    EXPECT_EQ(RoutedNetwork(eq, 16, mesh, stats).numLinks(), 48u);
+    EXPECT_EQ(RoutedNetwork(sched, 16, mesh).numLinks(), 48u);
 
     NetworkParams torus;
     torus.topology = TopologyKind::Torus2D;
-    EXPECT_EQ(RoutedNetwork(eq, 16, torus, stats).numLinks(), 64u);
+    EXPECT_EQ(RoutedNetwork(sched, 16, torus).numLinks(), 64u);
 
     NetworkParams ring;
     ring.topology = TopologyKind::Ring;
-    EXPECT_EQ(RoutedNetwork(eq, 8, ring, stats).numLinks(), 16u);
+    EXPECT_EQ(RoutedNetwork(sched, 8, ring).numLinks(), 16u);
 }
 
 /**
@@ -435,17 +435,17 @@ TEST_F(RoutedNetworkTest, TorusEvenExtentTieBreakPinnedForAllPolicies)
     EXPECT_EQ(g.productiveHops(0, 10), (std::vector<NodeId>{1, 4}));
 
     for (RoutingPolicy routing : allRoutingPolicies()) {
-        EventQueue eq;
-        StatGroup stats;
         NetworkParams p;
         p.topology = TopologyKind::Torus2D;
         p.routing = routing;
-        RoutedNetwork net(eq, 16, p, stats);
+        ParallelScheduler sched(1, 16, networkLookahead(p).ticks);
+        StatGroup &stats = sched.shardStats(0);
+        RoutedNetwork net(sched, 16, p);
         unsigned arrived = 0;
         for (NodeId n = 0; n < 16; ++n)
             net.setSink(n, [&](const Message &) { ++arrived; });
         net.send(msg(MsgType::GetS, 0, 2));
-        eq.run();
+        sched.runUntil(tickNever);
         EXPECT_EQ(arrived, 1u) << routingPolicyName(routing);
         // The pinned route is 0 -> 1 -> 2; the backward wrap must stay
         // untouched under every policy.
@@ -462,14 +462,14 @@ TEST_F(RoutedNetworkTest, TorusEvenExtentTieBreakPinnedForAllPolicies)
 
 TEST_F(RoutedNetworkTest, LocalDeliveryBypassesNetwork)
 {
-    EventQueue eq;
-    StatGroup stats;
-    RoutedNetwork net(eq, 16, meshParams(), stats);
+    ParallelScheduler sched(1, 16, networkLookahead(meshParams()).ticks);
+    EventQueue &eq = sched.queueFor(0);
+    RoutedNetwork net(sched, 16, meshParams());
     Tick arrived = 0;
     for (NodeId n = 0; n < 16; ++n)
         net.setSink(n, [&](const Message &) { arrived = eq.now(); });
     net.send(msg(MsgType::GetS, 5, 5));
-    eq.run();
+    sched.runUntil(tickNever);
     EXPECT_EQ(arrived, 1u);
 }
 

@@ -18,9 +18,8 @@
 #include <vector>
 
 #include "net/topo/routed_network.hh"
-#include "sim/event_queue.hh"
+#include "sim/par/parallel_scheduler.hh"
 #include "sim/rng.hh"
-#include "sim/stats.hh"
 
 namespace ltp
 {
@@ -57,10 +56,10 @@ class VcCreditTest : public ::testing::TestWithParam<RoutingPolicy>
 TEST_P(VcCreditTest, CreditsConserveAndNoMessageIsLostOrDuplicated)
 {
     constexpr unsigned kDepth = 2;
-    EventQueue eq;
-    StatGroup stats;
-    RoutedNetwork net(eq, kNodes, boundedParams(GetParam(), kDepth),
-                      stats);
+    NetworkParams params = boundedParams(GetParam(), kDepth);
+    ParallelScheduler sched(1, kNodes, networkLookahead(params).ticks);
+    EventQueue &eq = sched.queueFor(0);
+    RoutedNetwork net(sched, kNodes, params);
     ASSERT_TRUE(net.bounded());
     ASSERT_GE(net.numVcs(), net.numEscapeVcs());
 
@@ -84,7 +83,7 @@ TEST_P(VcCreditTest, CreditsConserveAndNoMessageIsLostOrDuplicated)
     // the end.
     for (Tick t = 100; t < 4000; t += 100)
         eq.scheduleAt(t, [&net] { checkCreditBounds(net, kDepth); });
-    eq.run();
+    sched.runUntil(tickNever);
 
     ASSERT_EQ(deliveredBy.size(), std::size_t(kMessages))
         << "some message was lost";
@@ -113,12 +112,12 @@ TEST(VcBackpressure, BoundedBuffersOnlySlowTrafficDown)
 {
     // One congested column on a 4x4 mesh: eight senders burst at node 5.
     auto runWith = [](unsigned depth) {
-        EventQueue eq;
-        StatGroup stats;
         NetworkParams p;
         p.topology = TopologyKind::Mesh2D;
         p.vcDepth = depth;
-        RoutedNetwork net(eq, kNodes, p, stats);
+        ParallelScheduler sched(1, kNodes, networkLookahead(p).ticks);
+        EventQueue &eq = sched.queueFor(0);
+        RoutedNetwork net(sched, kNodes, p);
         Tick last = 0;
         for (NodeId n = 0; n < kNodes; ++n)
             net.setSink(n, [&last, &eq](const Message &) {
@@ -132,7 +131,7 @@ TEST(VcBackpressure, BoundedBuffersOnlySlowTrafficDown)
             m.addr = Addr(burst);
             net.send(m);
         }
-        eq.run();
+        sched.runUntil(tickNever);
         return last;
     };
 
@@ -143,23 +142,22 @@ TEST(VcBackpressure, BoundedBuffersOnlySlowTrafficDown)
 
 TEST(VcLayout, AutoVcCountMatchesTopologyAndRouting)
 {
-    EventQueue eq;
-    StatGroup stats;
+    ParallelScheduler sched(1, 16, /*window=*/80); // never runs
 
     NetworkParams mesh_dor;
     mesh_dor.topology = TopologyKind::Mesh2D;
-    EXPECT_EQ(RoutedNetwork(eq, 16, mesh_dor, stats).numVcs(), 1u);
+    EXPECT_EQ(RoutedNetwork(sched, 16, mesh_dor).numVcs(), 1u);
 
     NetworkParams mesh_ad = mesh_dor;
     mesh_ad.routing = RoutingPolicy::MinimalAdaptive;
-    RoutedNetwork mesh_net(eq, 16, mesh_ad, stats);
+    RoutedNetwork mesh_net(sched, 16, mesh_ad);
     EXPECT_EQ(mesh_net.numVcs(), 2u);
     EXPECT_EQ(mesh_net.numEscapeVcs(), 1u);
 
     NetworkParams torus_ad;
     torus_ad.topology = TopologyKind::Torus2D;
     torus_ad.routing = RoutingPolicy::MinimalAdaptive;
-    RoutedNetwork torus_net(eq, 16, torus_ad, stats);
+    RoutedNetwork torus_net(sched, 16, torus_ad);
     EXPECT_EQ(torus_net.numVcs(), 3u);
     EXPECT_EQ(torus_net.numEscapeVcs(), 2u);
 }

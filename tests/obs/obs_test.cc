@@ -5,9 +5,8 @@
  * Tracing and metrics sampling must never perturb the simulation —
  * stats dumps are byte-identical with them on or off — while the trace
  * file must actually contain all five category groups and the metrics
- * stream must follow its JSONL schema. Plus unit coverage for the
- * category taxonomy parser and the EventQueue tick watcher the
- * sequential sampler rides on.
+ * stream must follow its JSONL schema and be the same at every shard
+ * count. Plus unit coverage for the category taxonomy parser.
  */
 
 #include <gtest/gtest.h>
@@ -17,13 +16,11 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "dsm/system.hh"
 #include "kernel/kernels.hh"
 #include "obs/categories.hh"
 #include "obs/obs_params.hh"
-#include "sim/event_queue.hh"
 
 namespace ltp
 {
@@ -72,41 +69,6 @@ TEST(ObsParams, DefaultIsEverythingOff)
     EXPECT_FALSE(p.traceEnabled());
     EXPECT_FALSE(p.metricsEnabled());
     EXPECT_FALSE(p.anyEnabled());
-}
-
-// ---- EventQueue tick watcher (the sequential sampler's hook) -----------
-
-TEST(EventQueueTickWatcher, FiresOnGridAndRearms)
-{
-    EventQueue eq;
-    std::vector<Tick> fired;
-    eq.armTickWatcher(10, [&](Tick now) {
-        fired.push_back(now);
-        return ((now / 10) + 1) * 10; // next multiple of 10 after now
-    });
-    for (Tick t : {3, 12, 14, 27, 50})
-        eq.scheduleAt(t, [] {});
-    eq.run();
-    // The watcher observes the first event at-or-after each due tick:
-    // due 10 -> event at 12; due 20 -> 27; due 30 (realigned) -> 50.
-    EXPECT_EQ(fired, (std::vector<Tick>{12, 27, 50}));
-}
-
-TEST(EventQueueTickWatcher, DisarmStopsFiring)
-{
-    EventQueue eq;
-    int fires = 0;
-    eq.armTickWatcher(5, [&](Tick now) {
-        ++fires;
-        return now + 5;
-    });
-    eq.scheduleAt(6, [] {});
-    eq.run();
-    EXPECT_EQ(fires, 1);
-    eq.disarmTickWatcher();
-    eq.scheduleAt(20, [] {});
-    eq.run();
-    EXPECT_EQ(fires, 1);
 }
 
 // ---- end-to-end: observer-only tracing + metrics -----------------------
@@ -202,6 +164,31 @@ TEST(ObsEndToEnd, ObserverOnlyAndTraceHasAllCategories)
 
     std::remove(on.traceFile.c_str());
     std::remove(on.metricsFile.c_str());
+}
+
+TEST(ObsEndToEnd, MetricsAreByteIdenticalAcrossShardCounts)
+{
+    // One sampling path at every shard count: window starts, read from
+    // the merged statistics. The direct-dispatch engine (1 shard) and
+    // the staged engine (2, 4) see the same windows, so the JSONL
+    // stream must match byte for byte.
+    std::string dir = ::testing::TempDir();
+    std::string first;
+    for (unsigned threads : {1u, 2u, 4u}) {
+        obs::ObsParams on;
+        on.metricsFile = dir + "/obs_test_metrics_s" +
+                         std::to_string(threads) + ".jsonl";
+        on.metricsIntervalTicks = 5000;
+        ObsRun run = runEm3d(threads, on);
+        ASSERT_TRUE(run.completed) << threads;
+        std::string metrics = slurp(on.metricsFile);
+        std::remove(on.metricsFile.c_str());
+        EXPECT_NE(metrics.find("\"tick\":"), std::string::npos);
+        if (threads == 1)
+            first = metrics;
+        else
+            EXPECT_EQ(metrics, first) << "shards " << threads;
+    }
 }
 
 TEST(ObsEndToEnd, CategoryMaskRestrictsTraceOutput)

@@ -3,19 +3,21 @@
  * Coherence-protocol scenario tests: a hand-wired mini-DSM (4 nodes)
  * driven by explicit accesses, checking directory state transitions,
  * message flows, latencies, self-invalidation handling, and the
- * Section 4 verification mask.
+ * Section 4 verification mask and its verdict delivery.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "mem/addr.hh"
 #include "net/network.hh"
+#include "predictor/invalidation_predictor.hh"
 #include "proto/cache_controller.hh"
 #include "proto/dir_controller.hh"
-#include "sim/event_queue.hh"
+#include "sim/par/parallel_scheduler.hh"
 #include "sim/stats.hh"
 
 namespace ltp
@@ -30,35 +32,40 @@ class ProtocolTest : public ::testing::Test
   protected:
     ProtocolTest() : homes_(4096, kNodes)
     {
-        net_ = std::make_unique<Network>(eq_, kNodes, NetworkParams{},
-                                         stats_);
+        net_ = std::make_unique<Network>(sched_, kNodes, NetworkParams{});
         for (NodeId n = 0; n < kNodes; ++n) {
             caches_.push_back(std::make_unique<CacheController>(
                 n, eq_, *net_, homes_, CacheParams{}, stats_));
             dirs_.push_back(std::make_unique<DirController>(
-                n, eq_, *net_, DirParams{}, stats_));
+                n, sched_, *net_, DirParams{}, stats_));
         }
         for (NodeId n = 0; n < kNodes; ++n) {
-            net_->setSink(n, [this, n](const Message &m) {
-                switch (m.type) {
-                  case MsgType::GetS:
-                  case MsgType::GetX:
-                  case MsgType::InvAck:
-                  case MsgType::WbData:
-                  case MsgType::SelfInvS:
-                  case MsgType::SelfInvX:
-                  case MsgType::EvictS:
-                  case MsgType::EvictX:
-                    dirs_[n]->receive(m);
-                    break;
-                  default:
-                    caches_[n]->receive(m);
-                }
-            });
+            net_->setSink(n, [this, n](const Message &m) { deliver(n, m); });
             dirs_[n]->setVerifyHook([this](NodeId who, Addr blk,
                                            bool premature, bool timely) {
-                verifications_.push_back({who, blk, premature, timely});
+                verifications_.push_back(
+                    {who, blk, premature, timely, eq_.now()});
             });
+        }
+    }
+
+    /** Route an inbound message to node @p n's directory or cache. */
+    void
+    deliver(NodeId n, const Message &m)
+    {
+        switch (m.type) {
+          case MsgType::GetS:
+          case MsgType::GetX:
+          case MsgType::InvAck:
+          case MsgType::WbData:
+          case MsgType::SelfInvS:
+          case MsgType::SelfInvX:
+          case MsgType::EvictS:
+          case MsgType::EvictX:
+            dirs_[n]->receive(m);
+            break;
+          default:
+            caches_[n]->receive(m);
         }
     }
 
@@ -72,7 +79,7 @@ class ProtocolTest : public ::testing::Test
             latency = lat;
             done = true;
         });
-        eq_.run();
+        sched_.runUntil(tickNever);
         EXPECT_TRUE(done);
         return latency;
     }
@@ -89,10 +96,13 @@ class ProtocolTest : public ::testing::Test
         Addr blk;
         bool premature;
         bool timely;
+        Tick when; //!< tick the hook ran
     };
 
-    EventQueue eq_;
-    StatGroup stats_;
+    ParallelScheduler sched_{1, kNodes,
+                             networkLookahead(NetworkParams{}).ticks};
+    EventQueue &eq_ = sched_.queueFor(0);
+    StatGroup &stats_ = sched_.shardStats(0);
     HomeMap homes_;
     std::unique_ptr<Network> net_;
     std::vector<std::unique_ptr<CacheController>> caches_;
@@ -233,6 +243,54 @@ TEST_F(ProtocolTest, DirectoryStatsSampled)
     access(0, blkB, false);
     EXPECT_GT(stats_.average("dir.queueing").count(), 0u);
     EXPECT_GT(stats_.averageMean("dir.service"), 0.0);
+}
+
+/** Calls every touch a last touch: the cache self-invalidates at once. */
+class AlwaysLastTouch : public InvalidationPredictor
+{
+  public:
+    bool onTouch(Addr, Pc, bool, bool) override { return true; }
+    void onInvalidation(Addr) override {}
+    void onVerification(Addr, bool) override {}
+    std::string name() const override { return "always-last-touch"; }
+};
+
+TEST_F(ProtocolTest, VerdictReachesNodeOneHopAfterDirectoryDecides)
+{
+    // Node 0 reads B and self-invalidates it straight away, leaving its
+    // bit in home 1's verification mask.
+    AlwaysLastTouch pred;
+    caches_[0]->setPredictor(&pred, PredictorMode::Active);
+    access(0, blkB, false);
+    ASSERT_TRUE(dirEntry(blkB).inVerifMask(0));
+    ASSERT_TRUE(verifications_.empty());
+
+    // Node 2's write proves that self-invalidation correct. Note the
+    // tick the home directory decides it.
+    Tick decided = tickNever;
+    net_->setSink(1, [this, &decided](const Message &m) {
+        std::uint64_t before =
+            stats_.counterValue("dir.selfInvTimelyCorrect");
+        deliver(1, m);
+        if (stats_.counterValue("dir.selfInvTimelyCorrect") != before)
+            decided = eq_.now();
+    });
+    std::uint64_t msgs_before = stats_.counterValue("net.msgs");
+    access(2, blkB, true);
+
+    ASSERT_NE(decided, tickNever);
+    ASSERT_EQ(verifications_.size(), 1u);
+    const Verification &v = verifications_[0];
+    EXPECT_EQ(v.who, 0u);
+    EXPECT_EQ(v.blk, blkB);
+    EXPECT_FALSE(v.premature);
+    EXPECT_TRUE(v.timely);
+    // One p2p hop: 4 cycles of egress NI + the 80-cycle flight.
+    EXPECT_EQ(oneHopLatency(NetworkParams{}), 84u);
+    EXPECT_EQ(v.when, decided + 84);
+    // The verdict is not a message: the write costs GetX + DataX only
+    // (node 0's copy is gone, so nothing is invalidated).
+    EXPECT_EQ(stats_.counterValue("net.msgs") - msgs_before, 2u);
 }
 
 } // namespace

@@ -18,7 +18,7 @@
 #include "predictor/invalidation_predictor.hh"
 #include "proto/cache_controller.hh"
 #include "proto/dir_controller.hh"
-#include "sim/event_queue.hh"
+#include "sim/par/parallel_scheduler.hh"
 #include "sim/stats.hh"
 
 namespace ltp
@@ -65,8 +65,7 @@ class SelfInvTest : public ::testing::Test
   protected:
     SelfInvTest() : homes_(4096, kNodes)
     {
-        net_ = std::make_unique<Network>(eq_, kNodes, NetworkParams{},
-                                         stats_);
+        net_ = std::make_unique<Network>(sched_, kNodes, NetworkParams{});
         for (NodeId n = 0; n < kNodes; ++n) {
             preds_.push_back(std::make_unique<ScriptedPredictor>());
             caches_.push_back(std::make_unique<CacheController>(
@@ -74,7 +73,7 @@ class SelfInvTest : public ::testing::Test
             caches_[n]->setPredictor(preds_[n].get(),
                                      PredictorMode::Active);
             dirs_.push_back(std::make_unique<DirController>(
-                n, eq_, *net_, DirParams{}, stats_));
+                n, sched_, *net_, DirParams{}, stats_));
         }
         for (NodeId n = 0; n < kNodes; ++n) {
             net_->setSink(n, [this, n](const Message &m) {
@@ -112,7 +111,7 @@ class SelfInvTest : public ::testing::Test
             latency = lat;
             done = true;
         });
-        eq_.run();
+        sched_.runUntil(tickNever);
         EXPECT_TRUE(done);
         return latency;
     }
@@ -123,8 +122,10 @@ class SelfInvTest : public ::testing::Test
         return dirs_[homes_.home(blk)]->directory().entry(blk);
     }
 
-    EventQueue eq_;
-    StatGroup stats_;
+    ParallelScheduler sched_{1, kNodes,
+                             networkLookahead(NetworkParams{}).ticks};
+    EventQueue &eq_ = sched_.queueFor(0);
+    StatGroup &stats_ = sched_.shardStats(0);
     HomeMap homes_;
     std::unique_ptr<Network> net_;
     std::vector<std::unique_ptr<ScriptedPredictor>> preds_;

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <functional>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -11,7 +12,6 @@
 #include "sim/event_queue.hh"
 #include "sim/par/lookahead.hh"
 #include "sim/par/parallel_scheduler.hh"
-#include "sim/par/sim_context.hh"
 #include "sim/par/window_barrier.hh"
 
 namespace ltp
@@ -108,9 +108,8 @@ TEST(WindowBarrierTest, CompletionRunsOnceAndReleasesAll)
 TEST(Lookahead, PointToPointWindowIsFlightPlusOccupancy)
 {
     NetworkParams net; // defaults: flight 80, control 4, data 12
-    NetLookahead la = networkLookahead(net);
-    EXPECT_EQ(la.ticks, 84u);
-    EXPECT_EQ(la.serialReason, nullptr);
+    EXPECT_EQ(networkLookahead(net).ticks, 84u);
+    EXPECT_EQ(oneHopLatency(net), 84u);
 }
 
 TEST(Lookahead, RoutedWindowIsSerializationPlusHopPlusRouter)
@@ -119,10 +118,13 @@ TEST(Lookahead, RoutedWindowIsSerializationPlusHopPlusRouter)
     net.topology = TopologyKind::Mesh2D;
     // ceil(16 / 4) + 68 + 8 = 80 — exactly the paper's one-hop latency.
     EXPECT_EQ(networkLookahead(net).ticks, 80u);
+    EXPECT_EQ(oneHopLatency(net), 80u);
 
-    // Finite input buffers add the wire-delayed credit return path.
+    // Finite input buffers add the wire-delayed credit return path; a
+    // message hop (and so a verification verdict) still takes 80.
     net.vcDepth = 4;
     EXPECT_EQ(networkLookahead(net).ticks, 68u);
+    EXPECT_EQ(oneHopLatency(net), 80u);
 }
 
 TEST(Lookahead, ObliviousRoutingShardsLikeAnyRoutedPolicy)
@@ -132,12 +134,10 @@ TEST(Lookahead, ObliviousRoutingShardsLikeAnyRoutedPolicy)
     NetworkParams net;
     net.topology = TopologyKind::Torus2D;
     net.routing = RoutingPolicy::Oblivious;
-    NetLookahead la = networkLookahead(net);
-    EXPECT_EQ(la.ticks, 80u);
-    EXPECT_EQ(la.serialReason, nullptr);
+    EXPECT_EQ(networkLookahead(net).ticks, 80u);
 }
 
-TEST(Lookahead, ShardPlanClampsAndFallsBack)
+TEST(Lookahead, ShardPlanClampsAndRejectsZeroLookahead)
 {
     LookaheadInputs in;
     in.requestedThreads = 8;
@@ -146,16 +146,15 @@ TEST(Lookahead, ShardPlanClampsAndFallsBack)
     in.barrierLatency = 200;
 
     ShardPlan plan = resolveShardPlan(in);
-    EXPECT_TRUE(plan.canonical());
     EXPECT_EQ(plan.shards, 4u); // clamped to the node count
     EXPECT_EQ(plan.window, 84u);
 
-    // One requested thread still yields the canonical engine (that is
-    // the S = 1 anchor of the bit-identity guarantee).
+    // One requested thread runs the same windowed engine (that is the
+    // S = 1 anchor of the bit-identity guarantee).
     in.requestedThreads = 1;
     plan = resolveShardPlan(in);
-    EXPECT_TRUE(plan.canonical());
     EXPECT_EQ(plan.shards, 1u);
+    EXPECT_EQ(plan.window, 84u);
 
     // The barrier release path bounds the window.
     in.requestedThreads = 4;
@@ -163,12 +162,17 @@ TEST(Lookahead, ShardPlanClampsAndFallsBack)
     plan = resolveShardPlan(in);
     EXPECT_EQ(plan.window, 50u);
 
-    // A zero-lookahead coupling forces the plain sequential engine.
-    in.zeroLookaheadCoupling = "verification feedback";
-    plan = resolveShardPlan(in);
-    EXPECT_FALSE(plan.canonical());
-    EXPECT_EQ(plan.shards, 1u);
-    EXPECT_EQ(plan.serialReason, "verification feedback");
+    // No lookahead, no engine: a zero-tick network or barrier window
+    // is a configuration error, whatever the thread count.
+    for (unsigned threads : {1u, 4u}) {
+        in.requestedThreads = threads;
+        LookaheadInputs no_net = in;
+        no_net.netLookahead = 0;
+        EXPECT_THROW(resolveShardPlan(no_net), std::invalid_argument);
+        LookaheadInputs no_barrier = in;
+        no_barrier.barrierLatency = 0;
+        EXPECT_THROW(resolveShardPlan(no_barrier), std::invalid_argument);
+    }
 }
 
 TEST(ParallelSchedulerTest, OneShardUsesDirectDispatch)

@@ -9,7 +9,7 @@
  * decision makes results depend on host speed and scheduling, breaking
  * the byte-identical-dump contract the determinism matrix enforces.
  *
- * Sanctioned idiom: EventQueue::now() / SimContext ticks for model
+ * Sanctioned idiom: EventQueue::now() / ParallelScheduler ticks for model
  * time. Host-side timing belongs in src/sim/guard/ and src/obs/, which
  * this check does not cover (the driver scopes it).
  */
