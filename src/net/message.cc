@@ -5,27 +5,6 @@
 namespace ltp
 {
 
-const char *
-msgTypeName(MsgType t)
-{
-    switch (t) {
-      case MsgType::GetS: return "GetS";
-      case MsgType::GetX: return "GetX";
-      case MsgType::Inv: return "Inv";
-      case MsgType::WbReq: return "WbReq";
-      case MsgType::InvAck: return "InvAck";
-      case MsgType::WbData: return "WbData";
-      case MsgType::DataS: return "DataS";
-      case MsgType::DataX: return "DataX";
-      case MsgType::DataFwd: return "DataFwd";
-      case MsgType::SelfInvS: return "SelfInvS";
-      case MsgType::SelfInvX: return "SelfInvX";
-      case MsgType::EvictS: return "EvictS";
-      case MsgType::EvictX: return "EvictX";
-    }
-    return "?";
-}
-
 std::string
 Message::describe() const
 {

@@ -63,8 +63,31 @@ carriesData(MsgType t)
     }
 }
 
-/** Human-readable message-type name (debugging and tests). */
-const char *msgTypeName(MsgType t);
+/**
+ * Human-readable message-type name (tracer spans, describe(), tests).
+ * Inline: the tracer spans evaluate it as an argument on every delivery
+ * and directory transaction, armed or not.
+ */
+constexpr const char *
+msgTypeName(MsgType t)
+{
+    switch (t) {
+      case MsgType::GetS: return "GetS";
+      case MsgType::GetX: return "GetX";
+      case MsgType::Inv: return "Inv";
+      case MsgType::WbReq: return "WbReq";
+      case MsgType::InvAck: return "InvAck";
+      case MsgType::WbData: return "WbData";
+      case MsgType::DataS: return "DataS";
+      case MsgType::DataX: return "DataX";
+      case MsgType::DataFwd: return "DataFwd";
+      case MsgType::SelfInvS: return "SelfInvS";
+      case MsgType::SelfInvX: return "SelfInvX";
+      case MsgType::EvictS: return "EvictS";
+      case MsgType::EvictX: return "EvictX";
+    }
+    return "?";
+}
 
 /** Self-invalidation verification outcome piggybacked on data replies. */
 enum class Verification : std::uint8_t

@@ -162,8 +162,12 @@ class MessagePool
                    h.gen() &&
                "double free (or stale handle)");
         // Bump the generation first: every outstanding copy of this
-        // handle is stale from here on.
-        s.gen.fetch_add(1, std::memory_order_relaxed);
+        // handle is stale from here on. A live slot's generation has one
+        // writer (its freeing event), and the owner's next alloc() reads
+        // it after the Treiber stack's acquire (or on this thread), so a
+        // plain load and store do; no locked read-modify-write.
+        s.gen.store(s.gen.load(std::memory_order_relaxed) + 1,
+                    std::memory_order_relaxed);
         if (caller_shard == owner) {
             s.nextFree = sh.freeHead;
             sh.freeHead = idx;

@@ -190,7 +190,10 @@ Tick
 DirController::handleRequest(const Message &msg)
 {
     DirEntry &e = dir_.entry(msg.addr);
-    sharing_.observeRequest(msg.addr, msg.src);
+    // Only forwarding reads the sharing predictor (predictNext below);
+    // with it off, training would just grow the per-block tables.
+    if (params_.enableForwarding)
+        sharing_.observeRequest(msg.addr, msg.src);
     if (msg.type == MsgType::GetS)
         return handleGetS(msg, e);
     return handleGetX(msg, e);

@@ -9,98 +9,108 @@
 namespace ltp
 {
 
-EventQueue::EventQueue() : buckets_(window) {}
-
-void
-EventQueue::pushBucket(Tick when, Entry e)
+std::uint32_t
+EventQueue::grow()
 {
-    assert(when - now_ < window);
-    std::size_t idx = std::size_t(when) & windowMask;
-    Bucket &b = buckets_[idx];
-    if (b.entries.empty() || !entryBefore(e, b.entries.back())) {
-        // Hot path: keys are nondecreasing for plain scheduleAt()
-        // traffic (phase fixed, sequence monotonic), so this is a pure
-        // append exactly like the historical FIFO bucket.
-        b.entries.push_back(e);
-    } else {
-        insertSorted(b, e);
-    }
-    bitmap_[idx >> 6] |= std::uint64_t(1) << (idx & 63);
-    ++bucketedEntries_;
-}
-
-// Out of line on purpose: only a channel post overtaking same-tick
-// entries of a later key (a larger channel id, or the round's locals
-// scheduled after it) lands here, and keeping the binary search out of
-// pushBucket() keeps the append path's code footprint minimal.
-__attribute__((noinline)) void
-EventQueue::insertSorted(Bucket &b, Entry e)
-{
-    // Never insert before `head`: the prefix holds only consumed
-    // tombstones (live entries with a larger key cannot have run —
-    // execution is in key order and posts never target a tick that is
-    // already executing). Buckets are small; binary search finds the
-    // spot.
-    auto pos = std::upper_bound(
-        b.entries.begin() + std::ptrdiff_t(b.head), b.entries.end(), e,
-        [](const Entry &a, const Entry &x) { return entryBefore(a, x); });
-    b.entries.insert(pos, e);
-}
-
-void
-EventQueue::migrate()
-{
-    while (!overflow_.empty() && overflow_.top().when - now_ < window) {
-        OverflowEntry e = overflow_.top();
-        overflow_.pop();
-        std::uint32_t slot = std::uint32_t(e.entry.id & slotMask);
-        if (slots_[slot].id != e.entry.id)
-            continue; // cancelled while parked in the overflow heap
-        pushBucket(e.when, e.entry);
-        ++overflowMigrations_;
-    }
+    assert(numSlots_ < slotMask && "event slot arena exhausted");
+    if ((numSlots_ & chunkMask) == 0)
+        chunks_.push_back(std::make_unique<Chunk>());
+    return numSlots_++;
 }
 
 EventQueue::EventId
-EventQueue::scheduleKeyed(Tick when, std::uint64_t key, Callback cb)
+EventQueue::enqueue(std::uint32_t i, Tick when, std::uint64_t key)
 {
-    assert(when >= now_ && "scheduling an event in the past");
+    Slot &s = slot(i);
+    EventId id = (nextGen_++ << slotBits) | i;
+    s.id = id;
+    s.when = when;
+    s.key = key;
+    s.cancelled = false;
 
-    // Pull freshly-eligible overflow events in first; their keys were
-    // assigned at schedule time, so they land at their sorted position
-    // regardless, but migrating early keeps the ring scan cheap.
-    migrate();
-
-    std::uint32_t slot;
-    if (!freeList_.empty()) {
-        slot = freeList_.back();
-        freeList_.pop_back();
-    } else {
-        assert(slots_.size() < slotMask && "event slot arena exhausted");
-        slot = std::uint32_t(slots_.size());
-        slots_.emplace_back();
-    }
-
-    EventId id = (nextGen_++ << slotBits) | slot;
-    slots_[slot].id = id;
-    slots_[slot].when = when;
-    slots_[slot].cb = std::move(cb);
-
-    Entry e{id, key};
     bool force_overflow =
         guard::Faults::on(guard::FaultKind::CalendarOverflow) &&
         guard::Faults::instance().calendarOverflowHit(nextGen_);
     if (when - now_ < window && !force_overflow) {
-        pushBucket(when, e);
+        pushBucket(i);
     } else {
         // Far-future event — or the cal-overflow fault pretending it
-        // is one. Either way the entry waits in the heap and migrate()
-        // moves it into the ring before it can fire, so the forced
-        // detour is invisible to results.
-        overflow_.push(OverflowEntry{when, e});
+        // is one. Either way the event waits in the heap and migrate()
+        // links it into its tick's list before it can fire, so the
+        // forced detour is invisible to results.
+        overflow_.push(OverflowEntry{when, key, id});
     }
     ++liveEvents_;
     return id;
+}
+
+void
+EventQueue::pushBucket(std::uint32_t i)
+{
+    Slot &s = slot(i);
+    assert(s.when - now_ < window);
+    std::size_t idx = std::size_t(s.when) & windowMask;
+    Bucket &b = buckets_[idx];
+    s.next = nil;
+    if (b.head == nil) {
+        b.head = b.tail = i;
+        bitmap_[idx >> 6] |= std::uint64_t(1) << (idx & 63);
+    } else {
+        Slot &last = slot(b.tail);
+        if (!keyBefore(s.key, s.id, last.key, last.id)) {
+            // Hot path: keys are nondecreasing for plain scheduleAt()
+            // traffic (phase fixed, sequence monotonic), so this is a
+            // pure append.
+            last.next = i;
+            b.tail = i;
+        } else {
+            insertSorted(b, i);
+        }
+    }
+    ++bucketedEntries_;
+}
+
+// Out of line on purpose: only a channel post overtaking same-tick
+// events of a later key (a larger channel id, or the round's locals
+// scheduled after it) or a migrated overflow event lands here, and
+// keeping the list walk out of pushBucket() keeps the append path's
+// code footprint minimal.
+__attribute__((noinline)) void
+EventQueue::insertSorted(Bucket &b, std::uint32_t i)
+{
+    // The list holds only events still pending at this tick (executed
+    // ones were unlinked from the head), and the new event sorts before
+    // the tail, so the walk stops inside the list. Tick lists are short.
+    Slot &s = slot(i);
+    std::uint32_t prev = nil;
+    std::uint32_t cur = b.head;
+    for (;;) {
+        Slot &c = slot(cur);
+        if (keyBefore(s.key, s.id, c.key, c.id))
+            break;
+        prev = cur;
+        cur = c.next;
+    }
+    s.next = cur;
+    if (prev == nil)
+        b.head = i;
+    else
+        slot(prev).next = i;
+}
+
+void
+EventQueue::migrateSlow()
+{
+    while (!overflow_.empty() && overflow_.top().when - now_ < window) {
+        std::uint32_t i = std::uint32_t(overflow_.top().id & slotMask);
+        overflow_.pop();
+        if (slot(i).cancelled) {
+            release(i); // cancelled while parked in the overflow heap
+            continue;
+        }
+        pushBucket(i);
+        ++overflowMigrations_;
+    }
 }
 
 bool
@@ -108,14 +118,17 @@ EventQueue::cancel(EventId id)
 {
     if (id == 0)
         return false; // the null handle; free slots carry id 0
-    std::uint32_t slot = std::uint32_t(id & slotMask);
-    if (slot >= slots_.size() || slots_[slot].id != id)
-        return false; // already ran, already cancelled, or never existed
-    slots_[slot].cb.reset();
-    release(slot);
+    std::uint32_t i = std::uint32_t(id & slotMask);
+    if (i >= numSlots_)
+        return false; // never existed
+    Slot &s = slot(i);
+    if (s.id != id || s.cancelled)
+        return false; // already ran, running, or already cancelled
+    // The slot stays linked (its key keeps the tick list sorted) until
+    // the pop path reaches and frees it; only the callback goes now.
+    s.cancelled = true;
+    s.cb.reset();
     --liveEvents_;
-    // The ring/overflow entry stays behind as a tombstone; its tag no
-    // longer matches the slot, so the pop path skips it.
     return true;
 }
 
@@ -139,126 +152,103 @@ EventQueue::firstBucket() const
     return 0;
 }
 
-std::int64_t
-EventQueue::popNextLive(Tick limit)
+std::uint32_t
+EventQueue::peekLive()
 {
     while (liveEvents_ > 0) {
         migrate();
 
         if (bucketedEntries_ > 0) {
             std::size_t idx = firstBucket();
-            Bucket &b = buckets_[idx];
-            while (b.head < b.entries.size()) {
-                EventId id = b.entries[b.head].id;
-                std::uint32_t slot = std::uint32_t(id & slotMask);
-                if (slots_[slot].id != id) {
-                    ++b.head; // tombstone from a cancelled event
-                    --bucketedEntries_;
-                    continue;
-                }
-                if (slots_[slot].when > limit)
-                    return -1; // leave it pending for a later run
-                ++b.head;
-                --bucketedEntries_;
-                if (b.head == b.entries.size())
-                    clearBucket(idx);
-                return std::int64_t(slot);
-            }
-            clearBucket(idx); // all tombstones: rescan
+            std::uint32_t i = buckets_[idx].head;
+            if (!slot(i).cancelled)
+                return i;
+            unlinkHead(idx);
+            release(i);
             continue;
         }
 
         // Ring empty: the next event is a far-future one in the overflow
         // heap (migrate() above guarantees overflow events are beyond
         // the current window, hence later than anything bucketed).
-        while (!overflow_.empty()) {
-            OverflowEntry e = overflow_.top();
-            std::uint32_t slot = std::uint32_t(e.entry.id & slotMask);
-            if (slots_[slot].id != e.entry.id) {
-                overflow_.pop(); // tombstone
-                continue;
-            }
-            if (e.when > limit)
-                return -1;
-            overflow_.pop();
-            return std::int64_t(slot);
-        }
-        assert(false && "live events but empty ring and overflow");
-        break;
+        assert(!overflow_.empty() &&
+               "live events but empty ring and overflow");
+        std::uint32_t i = std::uint32_t(overflow_.top().id & slotMask);
+        if (!slot(i).cancelled)
+            return i;
+        overflow_.pop();
+        release(i);
     }
-    return -1;
+    return nil;
+}
+
+std::uint32_t
+EventQueue::popNextLive(Tick limit)
+{
+    std::uint32_t i = peekLive();
+    if (i == nil)
+        return nil;
+    Tick when = slot(i).when;
+    if (when > limit)
+        return nil; // leave it pending for a later run
+    if (bucketedEntries_ > 0)
+        unlinkHead(std::size_t(when) & windowMask);
+    else
+        overflow_.pop();
+    return i;
 }
 
 Tick
 EventQueue::nextEventTick()
 {
-    while (liveEvents_ > 0) {
-        migrate();
-
-        if (bucketedEntries_ > 0) {
-            std::size_t idx = firstBucket();
-            Bucket &b = buckets_[idx];
-            while (b.head < b.entries.size()) {
-                EventId id = b.entries[b.head].id;
-                std::uint32_t slot = std::uint32_t(id & slotMask);
-                if (slots_[slot].id != id) {
-                    ++b.head; // tombstone from a cancelled event
-                    --bucketedEntries_;
-                    continue;
-                }
-                return slots_[slot].when;
-            }
-            clearBucket(idx); // all tombstones: rescan
-            continue;
-        }
-
-        while (!overflow_.empty()) {
-            OverflowEntry e = overflow_.top();
-            std::uint32_t slot = std::uint32_t(e.entry.id & slotMask);
-            if (slots_[slot].id != e.entry.id) {
-                overflow_.pop(); // tombstone
-                continue;
-            }
-            return e.when;
-        }
-        assert(false && "live events but empty ring and overflow");
-        break;
-    }
-    return tickNever;
+    std::uint32_t i = peekLive();
+    return i == nil ? tickNever : slot(i).when;
 }
 
 void
-EventQueue::executeSlot(std::uint32_t slot)
+EventQueue::executeSlot(std::uint32_t i)
 {
-    assert(slots_[slot].when >= now_);
-    now_ = slots_[slot].when;
-    // Move the callback out and recycle the slot *before* invoking: the
-    // callback may schedule new events (growing the slot arena) or even
-    // reuse this very slot.
-    Callback cb = std::move(slots_[slot].cb);
-    release(slot);
+    Slot &s = slot(i);
+    assert(s.when >= now_);
+    now_ = s.when;
+    // Untag first: the event can no longer be cancelled, not even by
+    // itself. The slot is neither linked nor free while the callback
+    // runs in place, so whatever it schedules lands in other slots, and
+    // arena growth never moves this one (chunks are stable).
+    s.id = 0;
     --liveEvents_;
     ++executed_;
-    cb();
+    // Destroy and recycle even if the callback throws.
+    struct Recycle
+    {
+        EventQueue &q;
+        std::uint32_t i;
+        ~Recycle()
+        {
+            q.slot(i).cb.reset();
+            q.release(i);
+        }
+    } recycle{*this, i};
+    s.cb();
 }
 
 bool
 EventQueue::step()
 {
-    std::int64_t slot = popNextLive(tickNever);
-    if (slot < 0)
+    std::uint32_t i = popNextLive(tickNever);
+    if (i == nil)
         return false;
-    executeSlot(std::uint32_t(slot));
+    executeSlot(i);
     return true;
 }
 
 Tick
 EventQueue::runUntil(Tick limit)
 {
-    std::int64_t slot;
+    std::uint32_t i;
     while (!abort_.load(std::memory_order_relaxed) &&
-           (slot = popNextLive(limit)) >= 0) {
-        executeSlot(std::uint32_t(slot));
+           (i = popNextLive(limit)) != nil) {
+        executeSlot(i);
         if ((executed_ & (beatPeriod - 1)) == 0)
             publishProgress();
     }
@@ -270,10 +260,10 @@ Tick
 EventQueue::runWindowed(Tick limit, Tick window,
                         const std::function<void(Tick)> &on_round)
 {
-    std::int64_t slot;
+    std::uint32_t i;
     while (!abort_.load(std::memory_order_relaxed) &&
-           (slot = popNextLive(limit)) >= 0) {
-        Tick when = slots_[std::uint32_t(slot)].when;
+           (i = popNextLive(limit)) != nil) {
+        Tick when = slot(i).when;
         if (when > windowEnd_ || !windowOpen_) {
             // First event past the round (or the very first event, even
             // at tick 0): the staged engine would have hit a barrier
@@ -292,7 +282,7 @@ EventQueue::runWindowed(Tick limit, Tick window,
             if (on_round)
                 on_round(when);
         }
-        executeSlot(std::uint32_t(slot));
+        executeSlot(i);
         if ((executed_ & (beatPeriod - 1)) == 0)
             publishProgress();
     }

@@ -9,23 +9,30 @@
  *
  * Implementation (see src/sim/README.md for the full design notes):
  *
- *  - Callbacks live in a slab of pooled, recycled slots — a free-list
- *    arena — and are stored inline via SmallFunction, so the steady-state
- *    schedule/execute cycle performs zero heap allocations.
+ *  - Every event lives in one pooled slot from scheduling to execution.
+ *    Slots sit in fixed 1024-slot chunks behind stable pointers, so a
+ *    slot never moves once handed out, however far the arena grows.
+ *    The callback (a SmallFunction) is built once, directly in the
+ *    slot, by the forwarding schedule calls, and runs where it lies:
+ *    the steady-state schedule/execute cycle performs zero heap
+ *    allocations and zero callback relocations.
+ *
+ *  - The slot is also the calendar entry. Events within `window` ticks
+ *    of now are threaded through a per-tick sorted list (a bucket is a
+ *    {head, tail} pair of slot indices; O(1) append, bitmap-accelerated
+ *    scan to the next non-empty tick). The rare far-future event waits
+ *    in a binary-heap overflow area and migrates into its tick's list
+ *    as the window advances. Nearly every simulator delay (NI
+ *    occupancy, wire flight, memory access, barrier release) is far
+ *    below the window, so the common path never touches the heap.
  *
  *  - An event id encodes its slot index plus a generation tag (the
- *    global schedule sequence number), so cancellation simply releases
- *    the slot: stale queue entries no longer match the slot's tag and
- *    are skipped on pop. The sequence number doubles as the
- *    FIFO tie-breaker.
- *
- *  - Time order is a calendar: events within `window` ticks of now go
- *    into a per-tick bucket ring (O(1) push, bitmap-accelerated scan to
- *    the next non-empty tick); the rare far-future event waits in a
- *    binary-heap overflow area and migrates into the ring as the window
- *    advances. Nearly every simulator delay (NI occupancy, wire flight,
- *    memory access, barrier release) is far below the window, so the
- *    common path never touches the heap.
+ *    global schedule sequence number, which doubles as the FIFO
+ *    tie-breaker). cancel() marks the slot and drops its callback; the
+ *    pop path frees a marked slot when it reaches it. A slot's tag is
+ *    cleared when its event starts running and it is retagged only on
+ *    reuse, so ids are single-use and a running event cannot be
+ *    cancelled.
  *
  * Same-tick order
  * ---------------
@@ -45,7 +52,7 @@
  * This is the canonical (deliveryTick, channel) tie-break of the
  * parallel engine (src/sim/par/): a 1-shard ParallelScheduler posts
  * straight into the queue through scheduleAtChannel() and the sorted
- * bucket reproduces, insertion-order-independently, exactly the order
+ * tick list reproduces, insertion-order-independently, exactly the order
  * the multi-shard engine realizes by sorting its mailbox lanes at a
  * window barrier.
  */
@@ -53,11 +60,14 @@
 #ifndef LTP_SIM_EVENT_QUEUE_HH
 #define LTP_SIM_EVENT_QUEUE_HH
 
+#include <array>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "sim/small_function.hh"
@@ -88,7 +98,7 @@ class EventQueue
      */
     using EventId = std::uint64_t;
 
-    EventQueue();
+    EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
@@ -96,7 +106,11 @@ class EventQueue
     Tick now() const { return now_; }
 
     /**
-     * Schedule @p cb to run at absolute tick @p when.
+     * Schedule @p f to run at absolute tick @p when.
+     *
+     * The callable is constructed once, in its event slot; pass an
+     * rvalue to have it moved there (an EventQueue::Callback rvalue is
+     * move-assigned).
      *
      * Ordering key: (current even phase, channel 0, schedule sequence) —
      * FIFO among same-tick scheduleAt() events of the same round.
@@ -104,20 +118,23 @@ class EventQueue
      * @pre when >= now(); scheduling in the past is a caller bug.
      * @return an id usable with cancel().
      */
+    template <typename F>
     EventId
-    scheduleAt(Tick when, Callback cb)
+    scheduleAt(Tick when, F &&f)
     {
-        return scheduleKeyed(when, phase_ << chanBits, std::move(cb));
+        return scheduleKeyed(when, phase_ << chanBits, std::forward<F>(f));
     }
 
-    /** Schedule @p cb to run @p delay ticks from now. */
-    EventId scheduleIn(Tick delay, Callback cb)
+    /** Schedule @p f to run @p delay ticks from now. */
+    template <typename F>
+    EventId
+    scheduleIn(Tick delay, F &&f)
     {
-        return scheduleAt(now_ + delay, std::move(cb));
+        return scheduleAt(now_ + delay, std::forward<F>(f));
     }
 
     /**
-     * Schedule @p cb at tick @p when on logical FIFO channel @p chan.
+     * Schedule @p f at tick @p when on logical FIFO channel @p chan.
      *
      * Ordering key: (current odd phase, chan, schedule sequence). At one
      * tick, channel events of a round execute after that round's
@@ -125,13 +142,14 @@ class EventQueue
      * channel — the parallel engine's canonical (tick, channel) merge
      * order, realized here directly without mailbox staging.
      */
+    template <typename F>
     EventId
-    scheduleAtChannel(Tick when, std::uint64_t chan, Callback cb)
+    scheduleAtChannel(Tick when, std::uint64_t chan, F &&f)
     {
         assert(chan < (std::uint64_t(1) << chanBits) &&
                "channel ids must fit 32 bits (see chan::spaceShift)");
         return scheduleKeyed(when, ((phase_ + 1) << chanBits) | chan,
-                             std::move(cb));
+                             std::forward<F>(f));
     }
 
     /**
@@ -256,8 +274,8 @@ class EventQueue
     /**
      * Tick of the earliest pending (non-cancelled) event, or tickNever
      * when the queue is drained. Used by the parallel engine to plan
-     * conservative windows; prunes tombstones as a side effect but
-     * never dequeues or executes anything.
+     * conservative windows; frees cancelled slots it passes as a side
+     * effect but never dequeues or executes anything.
      */
     Tick nextEventTick();
 
@@ -266,7 +284,7 @@ class EventQueue
      * mark of concurrently pending events, then stays flat: steady-state
      * scheduling recycles slots instead of allocating.
      */
-    std::size_t poolSlots() const { return slots_.size(); }
+    std::size_t poolSlots() const { return numSlots_; }
 
   private:
     /** Low bits of an EventId select the slot; the rest are the tag. */
@@ -280,115 +298,189 @@ class EventQueue
     static constexpr std::size_t windowMask = window - 1;
     static constexpr std::size_t windowWords = window / 64;
 
-    /** One pooled event: its current id tag and the inline callback. */
-    struct Slot
-    {
-        EventId id = 0; //!< 0 = free (generations start at 1)
-        Tick when = 0;
-        Callback cb;
-    };
-
-    /**
-     * One queued reference to a slot, carrying the ordering key packed
-     * as (phase << 32) | chan — phases and channel ids both fit 32
-     * bits (see scheduleAtChannel) — so the entry stays 16 bytes and a
-     * bucket comparison is two machine words. The schedule sequence
-     * lives in the id's generation bits, making the full order
-     * (phase, chan, sequence).
-     */
-    struct Entry
-    {
-        EventId id;
-        std::uint64_t key;
-    };
-
     /** Bits of the packed key available for the channel id. */
     static constexpr unsigned chanBits = 32;
 
-    static bool
-    entryBefore(const Entry &a, const Entry &b)
+    /** Null slot index: the end of a tick list or of the free list. */
+    static constexpr std::uint32_t nil = 0xffffffffu;
+
+    /** Slots per arena chunk (1024). */
+    static constexpr unsigned chunkShift = 10;
+    static constexpr std::uint32_t chunkMask = (1u << chunkShift) - 1;
+
+    /**
+     * One pending event, which is also its own calendar entry. The
+     * ordering key is packed as (phase << 32) | chan — phases and
+     * channel ids both fit 32 bits (see scheduleAtChannel) — and the
+     * schedule sequence lives in the id's generation bits, making the
+     * full same-tick order (phase, chan, sequence).
+     */
+    struct Slot
     {
-        if (a.key != b.key)
-            return a.key < b.key;
-        return a.id < b.id; // generation bits dominate: schedule order
+        EventId id = 0; //!< 0 = free or running (generations start at 1)
+        Tick when = 0;
+        std::uint64_t key = 0;
+        /** Next slot in this tick's list, or in the free list. */
+        std::uint32_t next = nil;
+        /** cancel()ed: callback dropped, awaiting the pop path's free. */
+        bool cancelled = false;
+        Callback cb;
+    };
+
+    using Chunk = std::array<Slot, std::size_t(1) << chunkShift>;
+
+    /** Same-tick execution order: key, then schedule sequence. */
+    static bool
+    keyBefore(std::uint64_t ka, EventId ida, std::uint64_t kb, EventId idb)
+    {
+        if (ka != kb)
+            return ka < kb;
+        return ida < idb; // generation bits dominate: schedule order
     }
 
     /**
-     * One calendar tick's events, kept sorted by ordering key. `head`
-     * marks the consumed prefix (entries are popped front-to-back
-     * within a tick); insertions never land before `head` — see
-     * pushBucket().
+     * One calendar tick's events: a list of slots threaded through
+     * Slot::next, sorted by ordering key. Only pending events (and
+     * cancelled ones not yet freed) are linked; execution unlinks from
+     * the head.
      */
     struct Bucket
     {
-        std::vector<Entry> entries;
-        std::size_t head = 0;
+        std::uint32_t head = nil;
+        std::uint32_t tail = nil;
     };
 
     struct OverflowEntry
     {
         Tick when;
-        Entry entry; //!< stable key copy: slots may be recycled under it
+        std::uint64_t key;
+        EventId id;
 
         bool
         operator>(const OverflowEntry &o) const
         {
             if (when != o.when)
                 return when > o.when;
-            return entryBefore(o.entry, entry);
+            return keyBefore(o.key, o.id, key, id);
         }
     };
 
-    /** The keyed implementation behind both schedule flavours. */
-    EventId scheduleKeyed(Tick when, std::uint64_t key, Callback cb);
+    Slot &
+    slot(std::uint32_t i)
+    {
+        return (*chunks_[i >> chunkShift])[i & chunkMask];
+    }
 
-    /** Sorted-insert into the ring bucket for @p when (within window). */
-    void pushBucket(Tick when, Entry e);
+    /**
+     * The keyed implementation behind every schedule flavour: take a
+     * slot, build the callable in it, then tag and link it.
+     */
+    template <typename F>
+    EventId
+    scheduleKeyed(Tick when, std::uint64_t key, F &&f)
+    {
+        assert(when >= now_ && "scheduling an event in the past");
+        // Pull freshly-eligible overflow events in first; their keys were
+        // assigned at schedule time, so they land at their sorted position
+        // regardless, but migrating early keeps the ring scan cheap.
+        migrate();
+        std::uint32_t i = acquire();
+        slot(i).cb.emplace(std::forward<F>(f));
+        return enqueue(i, when, key);
+    }
+
+    /** Pop a slot off the free list, or grow the arena. */
+    std::uint32_t
+    acquire()
+    {
+        std::uint32_t i = freeHead_;
+        if (i == nil)
+            return grow();
+        freeHead_ = slot(i).next;
+        return i;
+    }
+
+    /** Materialize the next slot (a new chunk every 1024 slots). */
+    std::uint32_t grow();
+
+    /** Tag slot @p i (callback already built) and link it in. */
+    EventId enqueue(std::uint32_t i, Tick when, std::uint64_t key);
+
+    /** Link slot @p i into its tick's list (within the window). */
+    void pushBucket(std::uint32_t i);
 
     /** Cold path of pushBucket: a key-overtaking (channel) insert. */
-    void insertSorted(Bucket &b, Entry e);
+    void insertSorted(Bucket &b, std::uint32_t i);
 
     /** Move overflow events that entered the window into the ring. */
-    void migrate();
+    void
+    migrate()
+    {
+        if (!overflow_.empty() && overflow_.top().when - now_ < window)
+            migrateSlow();
+    }
+
+    void migrateSlow();
+
+    /**
+     * The next live event's slot (nil when none), freeing the cancelled
+     * slots in front of it. Leaves it queued: it is the head of the
+     * first non-empty tick list, or — with the ring empty — the top of
+     * the overflow heap.
+     */
+    std::uint32_t peekLive();
 
     /**
      * Locate and dequeue the next live event with when <= @p limit.
      * Leaves it (and now_) untouched when the next event is beyond the
-     * limit. @return the slot index, or -1 when nothing is runnable.
+     * limit. @return the slot index, or nil when nothing is runnable.
      */
-    std::int64_t popNextLive(Tick limit);
+    std::uint32_t popNextLive(Tick limit);
 
     /** Ring index of the first non-empty bucket at or after now_. */
     std::size_t firstBucket() const;
 
-    /** Advance now_ to @p slot's tick, recycle it, run its callback. */
-    void executeSlot(std::uint32_t slot);
-
+    /** Unlink the head of bucket @p idx's list. */
     void
-    clearBucket(std::size_t idx)
+    unlinkHead(std::size_t idx)
     {
-        buckets_[idx].entries.clear();
-        buckets_[idx].head = 0;
-        bitmap_[idx >> 6] &= ~(std::uint64_t(1) << (idx & 63));
+        Bucket &b = buckets_[idx];
+        b.head = slot(b.head).next;
+        --bucketedEntries_;
+        if (b.head == nil) {
+            b.tail = nil;
+            bitmap_[idx >> 6] &= ~(std::uint64_t(1) << (idx & 63));
+        }
     }
 
-    /** Release @p slot back to the free list. */
+    /**
+     * Advance now_ to slot @p i's tick and run its callback in place,
+     * then destroy the callback and recycle the slot.
+     */
+    void executeSlot(std::uint32_t i);
+
+    /** Return slot @p i (callback already destroyed) to the free list. */
     void
-    release(std::uint32_t slot)
+    release(std::uint32_t i)
     {
-        slots_[slot].id = 0;
-        freeList_.push_back(slot);
+        Slot &s = slot(i);
+        s.id = 0;
+        s.next = freeHead_;
+        freeHead_ = i;
     }
 
-    std::vector<Bucket> buckets_;           //!< window per-tick buckets
+    std::array<Bucket, window> buckets_;     //!< per-tick slot lists
     std::uint64_t bitmap_[windowWords] = {}; //!< non-empty-bucket bits
-    std::size_t bucketedEntries_ = 0;       //!< entries in the ring (incl. stale)
+    /** Slots linked into the ring, cancelled ones included. */
+    std::size_t bucketedEntries_ = 0;
     std::priority_queue<OverflowEntry, std::vector<OverflowEntry>,
                         std::greater<>>
         overflow_;
 
-    std::vector<Slot> slots_;
-    std::vector<std::uint32_t> freeList_;
+    /** The slot arena: fixed chunks, so slots never move. */
+    std::vector<std::unique_ptr<Chunk>> chunks_;
+    std::uint32_t numSlots_ = 0;   //!< slots materialized (high-water)
+    std::uint32_t freeHead_ = nil; //!< LIFO free list through Slot::next
     Tick now_ = 0;
     Tick windowEnd_ = 0; //!< current canonical round's end (runWindowed)
     bool windowOpen_ = false; //!< a runWindowed round has ever begun

@@ -47,22 +47,9 @@ ParallelScheduler::ParallelScheduler(unsigned shards, NodeId num_nodes,
 ParallelScheduler::~ParallelScheduler() = default;
 
 void
-ParallelScheduler::post(NodeId dst, Tick when, std::uint64_t chan,
-                        EventQueue::Callback cb)
+ParallelScheduler::postStaged(NodeId dst, Tick when, std::uint64_t chan,
+                              EventQueue::Callback &&cb)
 {
-    if (directDispatch()) {
-        // Fast path: no staging, no sort, no barrier. The queue's
-        // sorted same-tick buckets put the event exactly where the
-        // staged merge would: after the posting round's local events,
-        // ordered by channel id, FIFO within the channel. The round
-        // clock lives in the queue itself (runWindowed).
-        assert(when > parts_[0]->eq.windowEnd() &&
-               "post() inside the current window: lookahead contract "
-               "broken");
-        parts_[0]->eq.scheduleAtChannel(when, chan, std::move(cb));
-        return;
-    }
-
     // The conservative contract: a post must land strictly beyond the
     // window it was made from (windowEnd_ is 0 before the first round,
     // so setup-time posts pass). Violations would otherwise surface

@@ -50,7 +50,7 @@
  * Direct dispatch (S == 1): with a single shard there is nothing to
  * exchange, so post() skips the mailbox entirely and lands in the owner
  * queue through EventQueue::scheduleAtChannel(), whose sorted same-tick
- * buckets realize the identical (deliveryTick, channel) order without
+ * lists realize the identical (deliveryTick, channel) order without
  * staging, sorting, or barrier traffic. The window loop survives only
  * as a phase clock (EventQueue::runWindowed()): it derives the same
  * round boundaries the staged engine would, which pins where one
@@ -69,11 +69,13 @@
 #define LTP_SIM_PAR_PARALLEL_SCHEDULER_HH
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <exception>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/engine_profile.hh"
@@ -174,15 +176,32 @@ class ParallelScheduler final
     StatGroup &shardStats(unsigned shard) { return parts_[shard]->stats; }
 
     /**
-     * Schedule @p cb at absolute tick @p when on @p dst's queue, from an
+     * Schedule @p f at absolute tick @p when on @p dst's queue, from an
      * event possibly running on another shard.
      *
      * @p chan identifies the logical FIFO the event belongs to (see
      * namespace chan). @p when must be at least the lookahead window
      * beyond the posting event's tick.
      */
-    void post(NodeId dst, Tick when, std::uint64_t chan,
-              EventQueue::Callback cb);
+    template <typename F>
+    void
+    post(NodeId dst, Tick when, std::uint64_t chan, F &&f)
+    {
+        if (directDispatch()) {
+            // Fast path: no staging, no sort, no barrier. The queue's
+            // sorted tick lists put the event exactly where the staged
+            // merge would: after the posting round's local events,
+            // ordered by channel id, FIFO within the channel. The round
+            // clock lives in the queue itself (runWindowed), and the
+            // callable is built straight into its event slot.
+            assert(when > parts_[0]->eq.windowEnd() &&
+                   "post() inside the current window: lookahead contract "
+                   "broken");
+            parts_[0]->eq.scheduleAtChannel(when, chan, std::forward<F>(f));
+            return;
+        }
+        postStaged(dst, when, chan, EventQueue::Callback(std::forward<F>(f)));
+    }
 
     /** Drive the simulation until drained or beyond @p limit. */
     Tick runUntil(Tick limit);
@@ -299,6 +318,9 @@ class ParallelScheduler final
         std::uint64_t barrierWaitNs = 0;
     };
 
+    /** post() on the staged path: into the SPSC lane for @p dst. */
+    void postStaged(NodeId dst, Tick when, std::uint64_t chan,
+                    EventQueue::Callback &&cb);
     void workerLoop(unsigned shard, Tick limit);
     void applyInbox(unsigned shard);
     void planWindow(Tick limit);

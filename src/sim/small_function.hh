@@ -10,6 +10,11 @@
  * falls back to the heap for oversized or throwing-move callables, so
  * the steady-state schedule/execute cycle performs zero allocations.
  *
+ * emplace() builds a callable straight into an existing object's
+ * buffer, which is how the event queue constructs each callback once,
+ * in its event slot, and later invokes it there: a scheduled event is
+ * never relocated between the caller's lambda and its execution.
+ *
  * Differences from std::function, by design:
  *  - move-only (a copyable wrapper would force copyable captures);
  *  - no target-type introspection;
@@ -50,14 +55,7 @@ class SmallFunction
                   std::is_invocable_r_v<void, std::decay_t<F> &>>>
     SmallFunction(F &&f) // NOLINT: implicit, mirrors std::function
     {
-        using Fn = std::decay_t<F>;
-        if constexpr (fitsInline<Fn>()) {
-            ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(f));
-            ops_ = &inlineOps<Fn>;
-        } else {
-            *reinterpret_cast<Fn **>(buf_) = new Fn(std::forward<F>(f));
-            ops_ = &heapOps<Fn>;
-        }
+        construct<std::decay_t<F>>(std::forward<F>(f));
     }
 
     SmallFunction(SmallFunction &&o) noexcept { moveFrom(o); }
@@ -86,12 +84,33 @@ class SmallFunction
 
     explicit operator bool() const { return ops_ != nullptr; }
 
+    /**
+     * Replace the held callable with @p f, constructed directly in this
+     * object's storage: one construction from the caller's argument, no
+     * intermediate SmallFunction. A SmallFunction rvalue is move-assigned.
+     */
+    template <typename F>
+    void
+    emplace(F &&f)
+    {
+        using Fn = std::decay_t<F>;
+        if constexpr (std::is_same_v<Fn, SmallFunction>) {
+            *this = std::forward<F>(f);
+        } else {
+            static_assert(std::is_invocable_r_v<void, Fn &>,
+                          "SmallFunction holds void() callables");
+            reset();
+            construct<Fn>(std::forward<F>(f));
+        }
+    }
+
     /** Destroy the held callable (no-op when empty). */
     void
     reset()
     {
         if (ops_) {
-            ops_->destroy(buf_);
+            if (ops_->destroy)
+                ops_->destroy(buf_);
             ops_ = nullptr;
         }
     }
@@ -103,8 +122,23 @@ class SmallFunction
         void (*invoke)(void *storage);
         /** Relocate from @p src to @p dst, leaving @p src destroyed. */
         void (*relocate)(void *src, void *dst) noexcept;
+        /** Null for trivially destructible inline callables. */
         void (*destroy)(void *storage);
     };
+
+    /** Build an Fn from @p f in buf_ (inline or on the heap). */
+    template <typename Fn, typename F>
+    void
+    construct(F &&f)
+    {
+        if constexpr (fitsInline<Fn>()) {
+            ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(f));
+            ops_ = &inlineOps<Fn>;
+        } else {
+            *reinterpret_cast<Fn **>(buf_) = new Fn(std::forward<F>(f));
+            ops_ = &heapOps<Fn>;
+        }
+    }
 
     template <typename Fn>
     static constexpr bool
@@ -116,6 +150,13 @@ class SmallFunction
     }
 
     template <typename Fn>
+    static void
+    destroyInline(void *s)
+    {
+        static_cast<Fn *>(s)->~Fn();
+    }
+
+    template <typename Fn>
     static constexpr Ops inlineOps = {
         [](void *s) { (*static_cast<Fn *>(s))(); },
         [](void *src, void *dst) noexcept {
@@ -123,7 +164,7 @@ class SmallFunction
             ::new (dst) Fn(std::move(*f));
             f->~Fn();
         },
-        [](void *s) { static_cast<Fn *>(s)->~Fn(); },
+        std::is_trivially_destructible_v<Fn> ? nullptr : &destroyInline<Fn>,
     };
 
     template <typename Fn>

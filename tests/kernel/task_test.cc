@@ -81,9 +81,12 @@ TEST(Task, NestedTaskReturnsValue)
     bool done = false;
     std::function<void()> on_done = [&] { done = true; };
     int result = 0;
-    auto outer = [&]() -> Task<void> {
+    // The coroutine reaches `result` through the lambda's captures, so
+    // the closure must outlive the task (not be a temporary).
+    auto body = [&]() -> Task<void> {
         result = co_await nestedTask();
-    }();
+    };
+    Task<void> outer = body();
     outer.start(&on_done);
     EXPECT_TRUE(done);
     EXPECT_EQ(result, 43);
@@ -115,11 +118,12 @@ TEST(Task, NestedSuspensionResumesParent)
         co_await DelayAwaiter{&eq, 5};
         order.push_back(2);
     };
-    auto parent = [&]() -> Task<void> {
+    auto parentBody = [&]() -> Task<void> {
         order.push_back(0);
         co_await child();
         order.push_back(3);
-    }();
+    };
+    Task<void> parent = parentBody();
     parent.start(&on_done);
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
@@ -156,10 +160,11 @@ TEST(Task, ManySequentialChildren)
         co_await DelayAwaiter{&eq, 1};
         co_return i;
     };
-    auto parent = [&]() -> Task<void> {
+    auto parentBody = [&]() -> Task<void> {
         for (int i = 0; i < 50; ++i)
             total += co_await child(i);
-    }();
+    };
+    Task<void> parent = parentBody();
     parent.start(&on_done);
     eq.run();
     EXPECT_EQ(total, 49 * 50 / 2);

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
+#include <memory>
 #include <random>
+#include <tuple>
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/par/parallel_scheduler.hh"
+#include "sim/small_function.hh"
 
 namespace ltp
 {
@@ -447,6 +452,284 @@ TEST(EventQueueChannel, RunWindowedDrivesRoundsLikeTheStagedEngine)
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 21, 23}));
     EXPECT_EQ(eq.now(), 15u);
     EXPECT_GE(eq.windowEnd(), 15u);
+}
+
+// ---- build in place, run in place -----------------------------------------
+
+/** Counts its copies, moves and runs; @p Pad bytes push it to the heap. */
+template <std::size_t Pad = 0>
+struct MoveCounter
+{
+    struct Counts
+    {
+        int copies = 0;
+        int moves = 0;
+        int runs = 0;
+    };
+
+    Counts *c;
+    std::array<char, Pad> pad{};
+
+    explicit MoveCounter(Counts *counts) : c(counts) {}
+    MoveCounter(const MoveCounter &o) : c(o.c) { ++c->copies; }
+    MoveCounter(MoveCounter &&o) noexcept : c(o.c) { ++c->moves; }
+    MoveCounter &operator=(const MoveCounter &) = delete;
+    MoveCounter &operator=(MoveCounter &&) = delete;
+
+    void operator()() { ++c->runs; }
+};
+
+template <std::size_t Pad>
+void
+expectOneMovePerEvent()
+{
+    using Counter = MoveCounter<Pad>;
+    typename Counter::Counts in, at, chan, named, boxed;
+    EventQueue eq;
+    eq.scheduleIn(5, Counter(&in));
+    eq.scheduleAt(6, Counter(&at));
+    eq.scheduleAtChannel(7, 3, Counter(&chan));
+    Counter lvalue(&named);
+    eq.scheduleAt(8, lvalue);
+    // A prebuilt Callback is moved into its slot: one more move of the
+    // callable when it is stored inline, none (just its pointer) when it
+    // lives on the heap.
+    eq.scheduleAt(9, EventQueue::Callback(Counter(&boxed)));
+    const int boxedMoves = Pad == 0 ? 2 : 1;
+
+    // Scheduling built each callable exactly once, in its slot...
+    for (auto *c : {&in, &at, &chan})
+        EXPECT_EQ(c->moves, 1);
+    EXPECT_EQ(named.copies, 1);
+    EXPECT_EQ(named.moves, 0);
+    EXPECT_EQ(boxed.moves, boxedMoves);
+
+    // ...and execution ran it where it lay.
+    eq.run();
+    for (auto *c : {&in, &at, &chan}) {
+        EXPECT_EQ(c->moves, 1);
+        EXPECT_EQ(c->copies, 0);
+        EXPECT_EQ(c->runs, 1);
+    }
+    EXPECT_EQ(named.copies, 1);
+    EXPECT_EQ(named.moves, 0);
+    EXPECT_EQ(named.runs, 1);
+    EXPECT_EQ(boxed.moves, boxedMoves);
+    EXPECT_EQ(boxed.runs, 1);
+}
+
+TEST(EventQueueInPlace, CallbackIsMovedOnceIntoItsSlotAndNeverAtExecution)
+{
+    expectOneMovePerEvent<0>();   // inline storage
+    expectOneMovePerEvent<128>(); // oversized: heap storage
+}
+
+TEST(EventQueueInPlace, DirectDispatchPostBuildsTheCallbackInItsSlot)
+{
+    // A 1-shard scheduler's post() forwards the callable down to the
+    // owner queue's slot: one move in total, none when it runs.
+    ParallelScheduler sched(1, 2, /*window=*/10);
+    MoveCounter<>::Counts c;
+    sched.post(1, 20, chan::pair(0, 1, 2), MoveCounter<>(&c));
+    EXPECT_EQ(c.moves, 1);
+    sched.runUntil(tickNever);
+    EXPECT_EQ(c.runs, 1);
+    EXPECT_EQ(c.moves, 1);
+    EXPECT_EQ(c.copies, 0);
+}
+
+TEST(EventQueueInPlace, RunningCallbackSurvivesArenaGrowth)
+{
+    // The running event fills more than two 1024-slot chunks and only
+    // then reads its own captures. Slots never move, so they are intact
+    // (under ASan, a relocated slot would be a heap-use-after-free).
+    EventQueue eq;
+    int ran = 0;
+    std::array<std::uint64_t, 5> payload = {11, 22, 33, 44, 55};
+    std::array<std::uint64_t, 5> seen{};
+    eq.scheduleAt(1, [&eq, &ran, &seen, payload] {
+        for (int k = 0; k < 3000; ++k)
+            eq.scheduleIn(1 + k % 5, [&ran] { ++ran; });
+        seen = payload;
+    });
+    eq.run();
+    EXPECT_EQ(seen, payload);
+    EXPECT_EQ(ran, 3000);
+    EXPECT_GT(eq.poolSlots(), 2048u);
+}
+
+template <std::size_t Pad>
+void
+expectCaptureReleasedOnce()
+{
+    EventQueue eq;
+    auto token = std::make_shared<int>(0);
+    std::array<char, Pad> pad{};
+    long during = 0;
+    eq.scheduleAt(5, [token, pad, &during] {
+        during = token.use_count();
+        (void)pad;
+    });
+    EXPECT_EQ(token.use_count(), 2);
+    eq.run();
+    EXPECT_EQ(during, 2);            // alive while running
+    EXPECT_EQ(token.use_count(), 1); // released once, after running
+
+    auto id = eq.scheduleAt(10, [token, pad] {
+        ADD_FAILURE() << "cancelled event ran";
+        (void)pad;
+    });
+    EXPECT_EQ(token.use_count(), 2);
+    EXPECT_TRUE(eq.cancel(id));
+    EXPECT_EQ(token.use_count(), 1); // cancel drops the callback
+    eq.run();
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_EQ(eq.eventsExecuted(), 1u);
+}
+
+TEST(EventQueueInPlace, CapturesAreReleasedExactlyOnce)
+{
+    expectCaptureReleasedOnce<0>();   // inline storage
+    expectCaptureReleasedOnce<256>(); // oversized: heap storage
+}
+
+TEST(EventQueueInPlace, RunningEventCannotCancelItself)
+{
+    EventQueue eq;
+    EventQueue::EventId self = 0;
+    bool result = true;
+    self = eq.scheduleAt(3, [&] { result = eq.cancel(self); });
+    eq.run();
+    EXPECT_FALSE(result);
+    EXPECT_EQ(eq.eventsExecuted(), 1u);
+    EXPECT_TRUE(eq.empty());
+}
+
+TEST(SmallFunction, EmplaceReplacesTheHeldCallable)
+{
+    auto token = std::make_shared<int>(0);
+    SmallFunction f([token] {});
+    EXPECT_EQ(token.use_count(), 2);
+
+    int calls = 0;
+    f.emplace([&calls] { ++calls; }); // destroys the old callable
+    EXPECT_EQ(token.use_count(), 1);
+    f();
+    EXPECT_EQ(calls, 1);
+
+    f.emplace(SmallFunction([token] {})); // an rvalue is move-assigned
+    EXPECT_EQ(token.use_count(), 2);
+    f.reset();
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_FALSE(f);
+    f.reset(); // no-op when empty
+}
+
+/**
+ * Randomized stress of the sorted tick lists: scheduleAt, channel posts
+ * (few channel ids, so posts overtake and queue behind one another),
+ * beginRound, zero delays into the executing tick, far-future overflow
+ * events and cancels, checked against an ordered (tick, phase, chan,
+ * seq) model. cancel() must succeed exactly while an event is pending,
+ * and nextEventTick() must see the model's front.
+ */
+TEST(EventQueueChannel, RandomizedMixedStressMatchesReferenceModel)
+{
+    std::mt19937_64 rng(4242);
+    EventQueue eq;
+
+    using Key = std::tuple<Tick, std::uint64_t, std::uint64_t,
+                           std::uint64_t>; // tick, phase, chan, seq
+    std::map<Key, std::uint64_t> model;    // key -> token
+    struct Pending
+    {
+        EventQueue::EventId id;
+        Key key;
+    };
+    std::vector<Pending> pending;
+    std::vector<std::uint64_t> executed;
+    std::uint64_t nextToken = 0, seq = 0, phase = 0;
+
+    auto delay = [&]() -> Tick {
+        unsigned r = unsigned(rng() % 100);
+        if (r == 0)
+            return 3000 + rng() % 5000; // beyond the calendar window
+        if (r < 15)
+            return 0; // into the executing tick
+        return rng() % 40;
+    };
+    auto scheduleOne = [&] {
+        Tick when = eq.now() + delay();
+        std::uint64_t token = nextToken++;
+        auto fn = [&executed, token] { executed.push_back(token); };
+        Key key;
+        EventQueue::EventId id;
+        if (rng() % 2) {
+            std::uint64_t ch = rng() % 6;
+            id = eq.scheduleAtChannel(when, ch, fn);
+            key = Key{when, phase + 1, ch, seq++};
+        } else {
+            id = eq.scheduleAt(when, fn);
+            key = Key{when, phase, 0, seq++};
+        }
+        model.emplace(key, token);
+        pending.push_back({id, key});
+    };
+    auto expectFront = [&] {
+        ASSERT_FALSE(model.empty());
+        EXPECT_EQ(executed.back(), model.begin()->second);
+        model.erase(model.begin());
+    };
+
+    for (int round = 0; round < 20000; ++round) {
+        unsigned action = unsigned(rng() % 20);
+        if (action < 10) {
+            scheduleOne();
+        } else if (action < 11) {
+            eq.beginRound();
+            phase += 2;
+        } else if (action < 14 && !pending.empty()) {
+            std::size_t pick = rng() % pending.size();
+            Pending p = pending[pick];
+            pending[pick] = pending.back();
+            pending.pop_back();
+            bool was_pending = model.count(p.key) == 1;
+            EXPECT_EQ(eq.cancel(p.id), was_pending);
+            model.erase(p.key);
+            EXPECT_FALSE(eq.cancel(p.id)); // single-use
+        } else if (action < 18) {
+            for (int k = 0; k < 3 && !model.empty(); ++k) {
+                std::size_t before = executed.size();
+                ASSERT_TRUE(eq.step());
+                ASSERT_EQ(executed.size(), before + 1);
+                expectFront();
+            }
+        } else if (action < 19) {
+            Tick limit = eq.now() + rng() % 20;
+            std::size_t before = executed.size();
+            eq.runUntil(limit);
+            for (std::size_t k = before; k < executed.size(); ++k) {
+                ASSERT_FALSE(model.empty());
+                EXPECT_LE(std::get<0>(model.begin()->first), limit);
+                EXPECT_EQ(executed[k], model.begin()->second);
+                model.erase(model.begin());
+            }
+            if (!model.empty())
+                EXPECT_GT(std::get<0>(model.begin()->first), limit);
+        } else {
+            EXPECT_EQ(eq.nextEventTick(),
+                      model.empty() ? tickNever
+                                    : std::get<0>(model.begin()->first));
+        }
+        ASSERT_EQ(eq.size(), model.size());
+    }
+
+    while (!model.empty()) {
+        ASSERT_TRUE(eq.step());
+        expectFront();
+    }
+    EXPECT_FALSE(eq.step());
+    EXPECT_TRUE(eq.empty());
 }
 
 } // namespace
