@@ -26,9 +26,10 @@ namespace obs
 /** Host-side execution profile of one run, summed over shards. */
 struct EngineProfile
 {
-    /** Conservative windows planned (rounds of the parallel loop). */
+    /** Conservative windows planned by the staged engine (0 at one
+     *  shard, which runs without windows). */
     std::uint64_t rounds = 0;
-    /** Sum of window widths in ticks (avg width = windowTicks/rounds). */
+    /** Sum of staged window widths in ticks (avg = windowTicks/rounds). */
     std::uint64_t windowTicks = 0;
     /** Barrier arrivals that exhausted the spin budget and futex-parked. */
     std::uint64_t barrierParks = 0;

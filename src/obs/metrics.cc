@@ -64,8 +64,8 @@ MetricsSampler::sample(Tick now, const StatGroup &stats,
     lastTick_ = now;
     lastEvents_ = events_executed;
     ++samples_;
-    // Realign to the grid strictly after `now` so a late sample (the
-    // parallel engine samples at window boundaries) doesn't trigger an
+    // Realign to the grid strictly after `now` so a late sample (taken
+    // at the first event at or after the due tick) doesn't trigger an
     // immediate second one.
     nextDue_ = ((now / interval_) + 1) * interval_;
 }

@@ -14,12 +14,11 @@
  * Zero perturbation by construction: the sampler never schedules
  * simulation events (a self-rescheduling sampler event would inflate
  * eventsExecuted and drag the run to maxTicks). Instead the engine
- * calls maybeSample() at window starts, where all simulated state is
- * quiescent — the conservative-window planning barrier on the staged
- * path, EventQueue::runWindowed()'s round starts on one shard. Sample
- * *timing* therefore quantizes to window boundaries, and since every
- * shard count sees the same windows and merged statistics, the stream
- * is identical at every shard count.
+ * calls maybeSample() before the first event at or after each due
+ * tick, where all simulated state is quiescent: it runs a single shard
+ * up to due - 1, and on the staged path it ends a window at due - 1 and
+ * samples in the planning barrier. Samples follow due ticks, not
+ * windows, so the stream is identical at every shard count.
  *
  * JSONL schema (one object per line):
  *   {"tick": T, "sinceTick": T0, "events": deltaRetired,

@@ -1,9 +1,7 @@
 #include "sim/event_queue.hh"
 
-#include <algorithm>
 #include <cassert>
 
-#include "obs/trace.hh"
 #include "sim/guard/fault.hh"
 
 namespace ltp
@@ -59,8 +57,8 @@ EventQueue::pushBucket(std::uint32_t i)
         Slot &last = slot(b.tail);
         if (!keyBefore(s.key, s.id, last.key, last.id)) {
             // Hot path: keys are nondecreasing for plain scheduleAt()
-            // traffic (phase fixed, sequence monotonic), so this is a
-            // pure append.
+            // traffic (key 0, sequence monotonic), so this is a pure
+            // append.
             last.next = i;
             b.tail = i;
         } else {
@@ -70,11 +68,11 @@ EventQueue::pushBucket(std::uint32_t i)
     ++bucketedEntries_;
 }
 
-// Out of line on purpose: only a channel post overtaking same-tick
-// events of a later key (a larger channel id, or the round's locals
-// scheduled after it) or a migrated overflow event lands here, and
-// keeping the list walk out of pushBucket() keeps the append path's
-// code footprint minimal.
+// Out of line on purpose: only an event overtaking same-tick events of
+// a later key (a channel post passing a larger channel id, a local
+// passing the tick's pending posts) or a migrated overflow event lands
+// here, and keeping the list walk out of pushBucket() keeps the append
+// path's code footprint minimal.
 __attribute__((noinline)) void
 EventQueue::insertSorted(Bucket &b, std::uint32_t i)
 {
@@ -248,40 +246,6 @@ EventQueue::runUntil(Tick limit)
     std::uint32_t i;
     while (!abort_.load(std::memory_order_relaxed) &&
            (i = popNextLive(limit)) != nil) {
-        executeSlot(i);
-        if ((executed_ & (beatPeriod - 1)) == 0)
-            publishProgress();
-    }
-    publishProgress();
-    return now_;
-}
-
-Tick
-EventQueue::runWindowed(Tick limit, Tick window,
-                        const std::function<void(Tick)> &on_round)
-{
-    std::uint32_t i;
-    while (!abort_.load(std::memory_order_relaxed) &&
-           (i = popNextLive(limit)) != nil) {
-        Tick when = slot(i).when;
-        if (when > windowEnd_ || !windowOpen_) {
-            // First event past the round (or the very first event, even
-            // at tick 0): the staged engine would have hit a barrier
-            // here, planned [when, when + L), and merged its mailboxes.
-            // The merge already happened incrementally
-            // (scheduleAtChannel); only the phase boundary remains.
-            windowOpen_ = true;
-            windowEnd_ = std::min(when + window - 1, limit);
-            beginRound();
-            ++windowedRounds_;
-            windowedTicksSum_ += windowEnd_ - when + 1;
-            publishProgress();
-            if (obs::Tracer::on(obs::Cat::Engine))
-                obs::Tracer::engineSpan("window", when, windowEnd_ + 1,
-                                        windowEnd_ - when + 1);
-            if (on_round)
-                on_round(when);
-        }
         executeSlot(i);
         if ((executed_ & (beatPeriod - 1)) == 0)
             publishProgress();

@@ -36,25 +36,23 @@
  *
  * Same-tick order
  * ---------------
- * Every event carries an ordering key (phase, channel, sequence) and a
- * tick's events execute in ascending key order:
+ * Every event carries a one-word ordering key, and a tick's events
+ * execute in ascending (key, schedule sequence) order:
  *
- *  - scheduleAt() events ("locals") take the queue's current even phase
- *    and channel 0, so with no rounds in play (a bare queue: phase
- *    stays 0) same-tick order is pure FIFO.
+ *  - scheduleAt() events ("locals") take key 0, so a tick's locals run
+ *    first, FIFO. A zero-delay local lands after everything already run
+ *    at its tick and before that tick's pending channel posts.
  *
- *  - scheduleAtChannel() events ("channel posts") take the current odd
- *    phase (phase + 1) and the caller's channel id: at one tick they
- *    sort after the current round's locals, by channel id, FIFO within
- *    a channel. beginRound() advances the phase by 2, so posts of round
- *    r land between round r's locals and round r+1's locals.
+ *  - scheduleAtChannel() events ("channel posts") take key 1 + chan:
+ *    they follow the tick's locals, by channel id, FIFO within a
+ *    channel.
  *
- * This is the canonical (deliveryTick, channel) tie-break of the
- * parallel engine (src/sim/par/): a 1-shard ParallelScheduler posts
- * straight into the queue through scheduleAtChannel() and the sorted
- * tick list reproduces, insertion-order-independently, exactly the order
- * the multi-shard engine realizes by sorting its mailbox lanes at a
- * window barrier.
+ * The rule depends on nothing but the events themselves, so the
+ * parallel engine (src/sim/par/) gets the same per-node order from any
+ * queue it puts a node in and at any window width: a 1-shard
+ * ParallelScheduler posts straight into the queue, and the staged
+ * engine applies its mailbox lanes, unsorted, through
+ * scheduleAtChannel().
  */
 
 #ifndef LTP_SIM_EVENT_QUEUE_HH
@@ -112,8 +110,8 @@ class EventQueue
      * rvalue to have it moved there (an EventQueue::Callback rvalue is
      * move-assigned).
      *
-     * Ordering key: (current even phase, channel 0, schedule sequence) —
-     * FIFO among same-tick scheduleAt() events of the same round.
+     * Ordering key 0: a tick's scheduleAt() events run before its
+     * channel posts, FIFO among themselves.
      *
      * @pre when >= now(); scheduling in the past is a caller bug.
      * @return an id usable with cancel().
@@ -122,7 +120,7 @@ class EventQueue
     EventId
     scheduleAt(Tick when, F &&f)
     {
-        return scheduleKeyed(when, phase_ << chanBits, std::forward<F>(f));
+        return scheduleKeyed(when, 0, std::forward<F>(f));
     }
 
     /** Schedule @p f to run @p delay ticks from now. */
@@ -136,31 +134,17 @@ class EventQueue
     /**
      * Schedule @p f at tick @p when on logical FIFO channel @p chan.
      *
-     * Ordering key: (current odd phase, chan, schedule sequence). At one
-     * tick, channel events of a round execute after that round's
-     * scheduleAt() events, ordered by channel id and FIFO within a
-     * channel — the parallel engine's canonical (tick, channel) merge
-     * order, realized here directly without mailbox staging.
+     * Ordering key 1 + @p chan: at one tick, channel events execute
+     * after the scheduleAt() events, ordered by channel id and FIFO
+     * within a channel — the parallel engine's canonical
+     * (tick, channel) order.
      */
     template <typename F>
     EventId
     scheduleAtChannel(Tick when, std::uint64_t chan, F &&f)
     {
-        assert(chan < (std::uint64_t(1) << chanBits) &&
-               "channel ids must fit 32 bits (see chan::spaceShift)");
-        return scheduleKeyed(when, ((phase_ + 1) << chanBits) | chan,
-                             std::forward<F>(f));
+        return scheduleKeyed(when, 1 + chan, std::forward<F>(f));
     }
-
-    /**
-     * Open the next canonical round: subsequent scheduleAt() events sort
-     * after every channel event of the previous round. Never needed by
-     * a bare queue (the phase just stays 0). The packed key
-     * gives phases 32 bits: 2^31 rounds, which at the minimum window
-     * of one tick per round outlives any realistic run by orders of
-     * magnitude.
-     */
-    void beginRound() { phase_ += 2; }
 
     /**
      * Cancel a previously scheduled event.
@@ -194,40 +178,15 @@ class EventQueue
      */
     Tick runUntil(Tick limit);
 
-    /**
-     * Run like runUntil(@p limit), but drive the canonical round clock
-     * inline: whenever the next event lies beyond the current round's
-     * window, open a new round (beginRound()) spanning
-     * [tick, tick + @p window) — clamped to @p limit — before executing
-     * it. This replays exactly the window sequence the staged parallel
-     * engine would plan at its barriers (the window start is the global
-     * minimum pending tick, which for one shard is simply the next
-     * event), at the cost of one compare per event instead of a
-     * separate peek-plan-execute pass per round. The 1-shard fast path
-     * is this call; windowEnd() exposes the current round's end for the
-     * post() lookahead assertion.
-     *
-     * @p on_round, when set, runs at each round start with the window's
-     * first tick — before that event executes, with every earlier event
-     * done. It is the metrics sampler's quiescent observation point and
-     * must not schedule events.
-     */
-    Tick runWindowed(Tick limit, Tick window,
-                     const std::function<void(Tick)> &on_round = {});
-
-    /** End of the current canonical round (0 before the first one). */
-    Tick windowEnd() const { return windowEnd_; }
-
     /** Total number of events executed so far. */
     std::uint64_t eventsExecuted() const { return executed_; }
 
     /**
-     * Ask the run loops (runUntil/runWindowed/step) to stop before the
-     * next event. Safe to call from any thread (the guard watchdog's
-     * abort path); the executing thread observes the flag within one
-     * event. Pending events stay queued — the run simply stops making
-     * progress, and the caller reports a structured abort instead of
-     * hanging.
+     * Ask the run loops (runUntil/step) to stop before the next event.
+     * Safe to call from any thread (the guard watchdog's abort path);
+     * the executing thread observes the flag within one event. Pending
+     * events stay queued — the run simply stops making progress, and
+     * the caller reports a structured abort instead of hanging.
      */
     void
     requestAbort()
@@ -247,8 +206,8 @@ class EventQueue
     /**
      * Progress mirrors for the guard watchdog: the executing thread
      * publishes now()/eventsExecuted() into atomics every
-     * `beatPeriod` events (and at every runWindowed round boundary), so
-     * a monitor thread can observe forward progress without a data race
+     * `beatPeriod` events (and when runUntil() returns), so a monitor
+     * thread can observe forward progress without a data race
      * on the hot members. Monitoring only — values may trail the true
      * counters by up to beatPeriod events.
      */
@@ -264,10 +223,6 @@ class EventQueue
         return executedMirror_.load(std::memory_order_relaxed);
     }
 
-    /** Windows opened by runWindowed() (the 1-shard round count). */
-    std::uint64_t windowedRounds() const { return windowedRounds_; }
-    /** Sum of runWindowed() window widths in ticks. */
-    std::uint64_t windowedTicksSum() const { return windowedTicksSum_; }
     /** Far-future events migrated overflow-heap -> calendar ring. */
     std::uint64_t overflowMigrations() const { return overflowMigrations_; }
 
@@ -298,9 +253,6 @@ class EventQueue
     static constexpr std::size_t windowMask = window - 1;
     static constexpr std::size_t windowWords = window / 64;
 
-    /** Bits of the packed key available for the channel id. */
-    static constexpr unsigned chanBits = 32;
-
     /** Null slot index: the end of a tick list or of the free list. */
     static constexpr std::uint32_t nil = 0xffffffffu;
 
@@ -310,10 +262,9 @@ class EventQueue
 
     /**
      * One pending event, which is also its own calendar entry. The
-     * ordering key is packed as (phase << 32) | chan — phases and
-     * channel ids both fit 32 bits (see scheduleAtChannel) — and the
+     * ordering key is 0 for a local and 1 + chan for a channel post; the
      * schedule sequence lives in the id's generation bits, making the
-     * full same-tick order (phase, chan, sequence).
+     * full same-tick order (key, sequence).
      */
     struct Slot
     {
@@ -482,15 +433,10 @@ class EventQueue
     std::uint32_t numSlots_ = 0;   //!< slots materialized (high-water)
     std::uint32_t freeHead_ = nil; //!< LIFO free list through Slot::next
     Tick now_ = 0;
-    Tick windowEnd_ = 0; //!< current canonical round's end (runWindowed)
-    bool windowOpen_ = false; //!< a runWindowed round has ever begun
     std::uint64_t nextGen_ = 1;
-    std::uint64_t phase_ = 0; //!< even; +1 = the channel-post phase
     std::size_t liveEvents_ = 0;
     std::uint64_t executed_ = 0;
 
-    std::uint64_t windowedRounds_ = 0;
-    std::uint64_t windowedTicksSum_ = 0;
     std::uint64_t overflowMigrations_ = 0;
 
     /** Events between progress-mirror publishes (power of two). */

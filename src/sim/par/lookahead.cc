@@ -21,9 +21,9 @@ resolveShardPlan(const LookaheadInputs &in)
             " ticks (both must be >= 1)");
     }
 
-    // One requested thread still runs the windowed engine: a 1-shard
-    // run is what the shards {1, 2, 4, ...} bit-identity guarantee is
-    // anchored on.
+    // One requested thread still gets a window: a 1-shard run executes
+    // without windows, but its post() checks the same lookahead, and it
+    // anchors the shards {1, 2, 4, ...} bit-identity guarantee.
     ShardPlan plan;
     plan.shards = std::max(1u, std::min<unsigned>(in.requestedThreads,
                                                   in.numNodes));

@@ -18,8 +18,8 @@
  * Directory verification verdicts travel one network hop, never less
  * than the network's lookahead, so they need no input of their own.
  * Every supported configuration has at least one tick of lookahead and
- * runs the same windowed engine at every shard count; a configuration
- * without one is rejected.
+ * runs the same engine at every shard count; a configuration without
+ * one is rejected.
  */
 
 #ifndef LTP_SIM_PAR_LOOKAHEAD_HH

@@ -46,17 +46,16 @@ ParallelScheduler::ParallelScheduler(unsigned shards, NodeId num_nodes,
 
 ParallelScheduler::~ParallelScheduler() = default;
 
+Tick
+ParallelScheduler::postingNow() const
+{
+    return parts_[tlsShard]->eq.now();
+}
+
 void
 ParallelScheduler::postStaged(NodeId dst, Tick when, std::uint64_t chan,
                               EventQueue::Callback &&cb)
 {
-    // The conservative contract: a post must land strictly beyond the
-    // window it was made from (windowEnd_ is 0 before the first round,
-    // so setup-time posts pass). Violations would otherwise surface
-    // only as silent shard-count-dependent results.
-    assert(when > windowEnd_.load(std::memory_order_relaxed) &&
-           "post() inside the current window: lookahead contract broken");
-
     unsigned from = tlsShard;
     unsigned to = shard_[dst];
     assert(from < parts_.size());
@@ -69,36 +68,20 @@ ParallelScheduler::postStaged(NodeId dst, Tick when, std::uint64_t chan,
 void
 ParallelScheduler::applyInbox(unsigned shard)
 {
-    // Gather the lanes addressed to this shard. Collection order (by
-    // source shard) only matters as a stable-sort tie-break, and ties
-    // are impossible across lanes: a channel is fed by one shard, so
-    // items from different lanes never share (when, chan).
-    std::vector<PostItem> &items = parts_[shard]->inbox;
+    // The queue sorts every post into its (tick, channel, FIFO) place,
+    // so lanes apply in any order; only each lane's own FIFO matters (a
+    // channel is fed by one shard, hence one lane).
+    EventQueue &eq = parts_[shard]->eq;
     for (auto &src : parts_) {
         Lane &lane = src->out[shard];
         PostItem item;
         while (lane.ring.tryPop(item))
-            items.push_back(std::move(item));
-        if (!lane.spill.empty()) {
-            items.insert(items.end(),
-                         std::make_move_iterator(lane.spill.begin()),
-                         std::make_move_iterator(lane.spill.end()));
-            lane.spill.clear();
-        }
+            eq.scheduleAtChannel(item.when, item.chan, std::move(item.cb));
+        for (PostItem &spilled : lane.spill)
+            eq.scheduleAtChannel(spilled.when, spilled.chan,
+                                 std::move(spilled.cb));
+        lane.spill.clear();
     }
-    if (items.empty())
-        return;
-
-    std::stable_sort(items.begin(), items.end(),
-                     [](const PostItem &a, const PostItem &b) {
-                         if (a.when != b.when)
-                             return a.when < b.when;
-                         return a.chan < b.chan;
-                     });
-    EventQueue &eq = parts_[shard]->eq;
-    for (auto &item : items)
-        eq.scheduleAt(item.when, std::move(item.cb));
-    items.clear();
 }
 
 void
@@ -115,19 +98,23 @@ ParallelScheduler::planWindow(Tick limit)
         stop_.store(true, std::memory_order_relaxed);
         return;
     }
+    // Metrics sampling belongs exactly here: the completion phase runs
+    // serially with every other shard parked, so the merged StatGroup
+    // is quiescent and reading it perturbs nothing the shards observe.
+    sampleAt(w);
     Tick end = std::min(w + window_ - 1, limit);
+    // Never straddle the next due tick (after sampleAt, due > w), so
+    // the sample lands before the first event at or after it.
+    if (sampler_)
+        end = std::min(end, sampler_->nextDue() - 1);
     windowStart_.store(w, std::memory_order_relaxed);
     windowEnd_.store(end, std::memory_order_relaxed);
     ++rounds_;
     windowTicksSum_ += end - w + 1;
-    // Metrics sampling belongs exactly here: the completion phase runs
-    // serially with every other shard parked, so the merged StatGroup
-    // is quiescent and reading it perturbs nothing the shards observe.
-    sampleWindow(w);
 }
 
 void
-ParallelScheduler::sampleWindow(Tick w)
+ParallelScheduler::sampleAt(Tick w)
 {
     if (sampler_ && w >= sampler_->nextDue())
         sampler_->maybeSample(w, stats(), eventsExecuted());
@@ -201,34 +188,25 @@ ParallelScheduler::workerLoop(unsigned shard, Tick limit)
 Tick
 ParallelScheduler::runDirect(Tick limit)
 {
-    // The staged engine's round loop with everything but the clock
-    // removed: posts already sit in the queue (scheduleAtChannel), so
-    // "apply inbox" is gone; the global minimum pending tick that
-    // planWindow() would compute is simply the next event; and the
-    // only round-boundary work left is advancing the queue's phase so
-    // one round's channel posts sort before the next round's local
-    // events — the same boundary the mailbox merge would have imposed.
-    // runWindowed() drives all of that inline at one compare per event,
-    // and calls back at each round start — the window start planWindow()
-    // would sample metrics at.
-    tlsShard = 0;
-    obs::Tracer::bindThread(0);
-    return parts_[0]->eq.runWindowed(limit, window_,
-                                     [this](Tick w) { sampleWindow(w); });
+    // Same sample ticks as planWindow(): run to each due tick - 1, then
+    // sample before the first event at or after it.
+    EventQueue &eq = parts_[0]->eq;
+    while (sampler_ && sampler_->nextDue() <= limit) {
+        eq.runUntil(sampler_->nextDue() - 1);
+        Tick next = eq.nextEventTick();
+        if (next == tickNever || next > limit || eq.abortRequested())
+            break;
+        sampleAt(next);
+    }
+    return eq.runUntil(limit);
 }
 
 obs::EngineProfile
 ParallelScheduler::profile() const
 {
     obs::EngineProfile prof;
-    if (directDispatch()) {
-        // The fast path's round clock lives inside the queue.
-        prof.rounds = parts_[0]->eq.windowedRounds();
-        prof.windowTicks = parts_[0]->eq.windowedTicksSum();
-    } else {
-        prof.rounds = rounds_;
-        prof.windowTicks = windowTicksSum_;
-    }
+    prof.rounds = rounds_;
+    prof.windowTicks = windowTicksSum_;
     prof.barrierParks = barrier_.parks();
     for (const auto &p : parts_) {
         prof.barrierWaitNs += p->barrierWaitNs;

@@ -23,24 +23,26 @@
  *  - post() carries a *channel id* identifying the logical FIFO the
  *    event travels on (see namespace chan). A channel is only ever fed
  *    by one shard, so the canonical (deliveryTick, channel) order is
- *    deterministic: independent of thread timing AND of the shard
- *    count.
+ *    deterministic: independent of thread timing, of the shard count
+ *    and of the window width.
  *
  * Nodes are split into S contiguous partitions, each owning a private
- * EventQueue and StatGroup. The engine has two run paths behind one
- * ordering contract.
+ * EventQueue and StatGroup. Same-tick order is the queue's own rule
+ * (see EventQueue, "Same-tick order"): a tick's local events first,
+ * FIFO, then its posts by (channel, FIFO). The engine has two run paths
+ * behind it.
  *
  * Staged (S > 1): cross-shard posts are exchanged at window barriers
  * through lock-free SPSC mailbox lanes. One round:
  *
  *   1. apply inbox    every shard drains the lanes addressed to it,
- *                     sorted by (deliveryTick, channel): the canonical
- *                     merge order. Each channel is fed by exactly one
- *                     shard, so the sort is a total, thread-timing- and
- *                     shard-count-independent order.
+ *                     lane by lane, through scheduleAtChannel(). The
+ *                     queue sorts each post into place, so the drain
+ *                     order does not matter beyond per-lane FIFO.
  *   2. plan window    barrier; the last arriver computes the global
  *                     minimum pending tick W and the window end
- *                     min(W + L - 1, limit), or stops the run.
+ *                     min(W + L - 1, limit, next metrics due - 1), or
+ *                     stops the run.
  *   3. execute        every shard runs its queue through the window.
  *                     Lookahead guarantees any post lands at >= W + L,
  *                     i.e. strictly beyond the window, so no shard can
@@ -48,21 +50,19 @@
  *   4. publish        barrier; lane writes become visible for step 1.
  *
  * Direct dispatch (S == 1): with a single shard there is nothing to
- * exchange, so post() skips the mailbox entirely and lands in the owner
- * queue through EventQueue::scheduleAtChannel(), whose sorted same-tick
- * lists realize the identical (deliveryTick, channel) order without
- * staging, sorting, or barrier traffic. The window loop survives only
- * as a phase clock (EventQueue::runWindowed()): it derives the same
- * round boundaries the staged engine would, which pins where one
- * round's posts sort relative to the next round's local events —
- * byte-identical output, none of the staging tax.
+ * exchange, so post() lands straight in the owner queue through
+ * EventQueue::scheduleAtChannel(), and a run is a plain
+ * EventQueue::runUntil(): no staging, no barrier, no windows.
  *
  * Determinism: each shard's execution is a function of its queue
  * content only; queue content is the deterministic intra-shard schedule
- * plus inbox applications in canonical order. Per-channel post order is
- * the feeding shard's deterministic execution order. Nothing observes
- * wall-clock interleaving, so S = 1, S = 2 and S = 8 produce identical
- * per-node event sequences — and identical (merged) statistics.
+ * plus inbox applications. A node's events touch only that node's
+ * state, and the queue orders each node's same-tick events by the rule
+ * above whatever else shares the queue and whenever a post arrived.
+ * Per-channel post order is the feeding shard's deterministic execution
+ * order. Nothing observes wall-clock interleaving or window boundaries,
+ * so S = 1, S = 2 and S = 8 produce identical per-node event sequences
+ * at any window width — and identical (merged) statistics.
  */
 
 #ifndef LTP_SIM_PAR_PARALLEL_SCHEDULER_HH
@@ -91,11 +91,10 @@ namespace ltp
 /**
  * Channel-id helpers for post(). The spaces are disjoint; ids only need
  * to be unique per logical FIFO channel (and each channel must be fed
- * from a single shard for the canonical merge order to be total).
+ * from a single shard for the same-tick order to be total).
  *
- * Ids must fit 32 bits (EventQueue packs them next to the round phase
- * in one ordering word), so the space tag sits at bit 28: room for
- * 2^28 ids per space — 16 K nodes' (src, dst) pairs, a million links.
+ * The space tag sits at bit 28: room for 2^28 ids per space — 16 K
+ * nodes' (src, dst) pairs, a million links.
  */
 namespace chan
 {
@@ -153,11 +152,10 @@ class ParallelScheduler final
   public:
     /**
      * @param shards   partition/thread count. One is valid — and is how
-     *                 simThreads=1 runs on parallel-safe configurations:
-     *                 the same canonical (tick, channel) semantics on
-     *                 the calling thread through the direct-dispatch
-     *                 fast path, so results match every other shard
-     *                 count bit for bit.
+     *                 simThreads=1 runs: the same event order on the
+     *                 calling thread through the direct-dispatch fast
+     *                 path, so results match every other shard count
+     *                 bit for bit.
      * @param num_nodes nodes to spread over the partitions.
      * @param window   conservative lookahead L in ticks (>= 1); every
      *                 post() must land at least this far after its
@@ -187,16 +185,14 @@ class ParallelScheduler final
     void
     post(NodeId dst, Tick when, std::uint64_t chan, F &&f)
     {
+        // The conservative contract, for both paths. A violation would
+        // otherwise surface only as silent shard-count-dependent results.
+        assert(when >= postingNow() + window_ &&
+               "post() closer than the lookahead window: lookahead "
+               "contract broken");
         if (directDispatch()) {
-            // Fast path: no staging, no sort, no barrier. The queue's
-            // sorted tick lists put the event exactly where the staged
-            // merge would: after the posting round's local events,
-            // ordered by channel id, FIFO within the channel. The round
-            // clock lives in the queue itself (runWindowed), and the
-            // callable is built straight into its event slot.
-            assert(when > parts_[0]->eq.windowEnd() &&
-                   "post() inside the current window: lookahead contract "
-                   "broken");
+            // Fast path: no staging, no barrier. The callable is built
+            // straight into its event slot.
             parts_[0]->eq.scheduleAtChannel(when, chan, std::forward<F>(f));
             return;
         }
@@ -245,13 +241,14 @@ class ParallelScheduler final
     bool directDispatch() const { return parts_.size() == 1; }
 
     /**
-     * Attach (or detach, nullptr) a metrics sampler. It samples at
-     * window starts, with every event before the window executed and
-     * merged statistics quiescent: from planWindow()'s serial completion
-     * phase (every shard parked at the barrier) on the staged path, and
-     * from runWindowed()'s round starts under direct dispatch. Both see
-     * the same windows, so the samples are shard-count-invariant. The
-     * sampler must outlive the run.
+     * Attach (or detach, nullptr) a metrics sampler. Samples follow its
+     * due ticks: each is taken before the first event at or after the
+     * due tick, with every earlier event executed and the merged
+     * statistics quiescent. The staged path takes it in planWindow()'s
+     * serial completion phase (every shard parked at the barrier) and
+     * never lets a window straddle a due tick; direct dispatch runs up
+     * to due - 1 and samples there. The sample ticks are therefore
+     * shard-count-invariant. The sampler must outlive the run.
      */
     void setMetricsSampler(obs::MetricsSampler *sampler)
     {
@@ -309,8 +306,6 @@ class ParallelScheduler final
         StatGroup stats;
         /** Outgoing mail, one lane per destination shard. */
         std::vector<Lane> out;
-        /** Reused merge buffer for applyInbox (avoids per-round churn). */
-        std::vector<PostItem> inbox;
         /** Earliest pending tick, published for window planning. */
         std::atomic<Tick> nextTick{tickNever};
         /** Wall ns this shard's thread spent in barrier waits. Written
@@ -318,15 +313,17 @@ class ParallelScheduler final
         std::uint64_t barrierWaitNs = 0;
     };
 
+    /** now() of the queue the calling thread executes (post()'s cause). */
+    Tick postingNow() const;
     /** post() on the staged path: into the SPSC lane for @p dst. */
     void postStaged(NodeId dst, Tick when, std::uint64_t chan,
                     EventQueue::Callback &&cb);
     void workerLoop(unsigned shard, Tick limit);
     void applyInbox(unsigned shard);
     void planWindow(Tick limit);
-    /** Sample metrics at window start @p w when one is due. */
-    void sampleWindow(Tick w);
-    /** The S == 1 engine: same windows and order, no staging. */
+    /** Sample metrics at tick @p w when one is due. */
+    void sampleAt(Tick w);
+    /** The S == 1 engine: runUntil() on the one queue. */
     Tick runDirect(Tick limit);
 
     std::vector<std::unique_ptr<Partition>> parts_;
@@ -338,7 +335,8 @@ class ParallelScheduler final
     std::atomic<Tick> windowEnd_{0};
     std::atomic<bool> stop_{false};
 
-    /** Round accounting; written only in planWindow()'s serial phase. */
+    /** Staged round accounting; written only in planWindow()'s serial
+     *  phase, so both read 0 under direct dispatch. */
     std::uint64_t rounds_ = 0;
     std::uint64_t windowTicksSum_ = 0;
 

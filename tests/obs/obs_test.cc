@@ -168,10 +168,11 @@ TEST(ObsEndToEnd, ObserverOnlyAndTraceHasAllCategories)
 
 TEST(ObsEndToEnd, MetricsAreByteIdenticalAcrossShardCounts)
 {
-    // One sampling path at every shard count: window starts, read from
-    // the merged statistics. The direct-dispatch engine (1 shard) and
-    // the staged engine (2, 4) see the same windows, so the JSONL
-    // stream must match byte for byte.
+    // Samples follow due ticks at every shard count: the first event at
+    // or after each due tick, read from the merged statistics. The
+    // direct-dispatch engine (1 shard) and the staged engine (2, 4)
+    // pick the same ticks, so the JSONL stream must match byte for
+    // byte.
     std::string dir = ::testing::TempDir();
     std::string first;
     for (unsigned threads : {1u, 2u, 4u}) {

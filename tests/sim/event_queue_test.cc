@@ -355,12 +355,10 @@ TEST(EventQueueChannel, FifoWithinOneChannel)
         EXPECT_EQ(order[i], i);
 }
 
-TEST(EventQueueChannel, LocalsRunBeforeSameRoundChannelPosts)
+TEST(EventQueueChannel, LocalsRunBeforeSameTickChannelPosts)
 {
-    // A round's scheduleAt() events precede its channel posts at the
-    // same tick even when the posts were scheduled first — this is the
-    // staged engine's barrier boundary: posts of round r are merged
-    // after round r has fully executed.
+    // A tick's scheduleAt() events precede its channel posts even when
+    // the posts were scheduled first.
     EventQueue eq;
     std::vector<int> order;
     eq.scheduleAtChannel(10, 1, [&] { order.push_back(100); });
@@ -371,21 +369,27 @@ TEST(EventQueueChannel, LocalsRunBeforeSameRoundChannelPosts)
     EXPECT_EQ(order, (std::vector<int>{1, 2, 100, 200}));
 }
 
-TEST(EventQueueChannel, BeginRoundSeparatesPostBatches)
+TEST(EventQueueChannel, ZeroDelayLocalFromAPostRunsBeforeTheTicksOtherPosts)
 {
-    // Round r's posts execute before round r+1's locals AND before
-    // round r+1's posts at the same tick, whatever the channel ids —
-    // the round boundary dominates the channel tie-break, exactly like
-    // successive barrier merges in the staged engine.
+    // A zero-delay local lands after everything already run at its tick
+    // and before the tick's pending posts, so a post's follow-up runs
+    // ahead of the next channel — and a post scheduled at the running
+    // tick still waits behind every local there.
     EventQueue eq;
     std::vector<int> order;
-    eq.beginRound(); // round 1
-    eq.scheduleAtChannel(50, 9, [&] { order.push_back(19); });
-    eq.beginRound(); // round 2
-    eq.scheduleAt(50, [&] { order.push_back(2); });
-    eq.scheduleAtChannel(50, 1, [&] { order.push_back(21); });
+    eq.scheduleAt(10, [&] { order.push_back(1); });
+    eq.scheduleAtChannel(10, 5, [&] {
+        order.push_back(50);
+        eq.scheduleAt(10, [&] {
+            order.push_back(2);
+            eq.scheduleAtChannel(10, 6, [&] { order.push_back(65); });
+            eq.scheduleAt(10, [&] { order.push_back(3); });
+        });
+    });
+    eq.scheduleAtChannel(10, 6, [&] { order.push_back(60); });
+    eq.scheduleAtChannel(10, 7, [&] { order.push_back(70); });
     eq.run();
-    EXPECT_EQ(order, (std::vector<int>{19, 2, 21}));
+    EXPECT_EQ(order, (std::vector<int>{1, 50, 2, 3, 60, 65, 70}));
 }
 
 TEST(EventQueueChannel, CancelSkipsChannelEventAndKeepsOrder)
@@ -422,36 +426,6 @@ TEST(EventQueueChannel, OverflowMigrationKeepsChannelOrder)
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{2, 5, 8}));
     EXPECT_EQ(eq.now(), far);
-}
-
-TEST(EventQueueChannel, RunWindowedDrivesRoundsLikeTheStagedEngine)
-{
-    // runWindowed(limit, L) must (a) open a round per conservative
-    // window [W, W + L), (b) execute posts of round r after round r's
-    // locals and before round r+1's locals, and (c) reach the same
-    // final tick as a plain run.
-    EventQueue eq;
-    std::vector<int> order;
-    // Two windows of width 10: events at 0..9 are round 1, 15.. round 2.
-    eq.scheduleAt(0, [&] {
-        order.push_back(1);
-        // Post landing in the next window, channel 3.
-        eq.scheduleAtChannel(15, 3, [&] { order.push_back(23); });
-    });
-    eq.scheduleAt(5, [&] {
-        order.push_back(2);
-        // Same tick 15, smaller channel, posted later: channel order.
-        eq.scheduleAtChannel(15, 1, [&] { order.push_back(21); });
-    });
-    // A round-2 local at tick 15 — scheduled during round 2, so it runs
-    // BEFORE round 1's posts? No: it is scheduled by a round-2 event
-    // only if one exists earlier in round 2. Here it is scheduled up
-    // front (round 0 of the setup phase), so it precedes the posts.
-    eq.scheduleAt(15, [&] { order.push_back(3); });
-    eq.runWindowed(tickNever, 10);
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 21, 23}));
-    EXPECT_EQ(eq.now(), 15u);
-    EXPECT_GE(eq.windowEnd(), 15u);
 }
 
 // ---- build in place, run in place -----------------------------------------
@@ -628,10 +602,11 @@ TEST(SmallFunction, EmplaceReplacesTheHeldCallable)
 /**
  * Randomized stress of the sorted tick lists: scheduleAt, channel posts
  * (few channel ids, so posts overtake and queue behind one another),
- * beginRound, zero delays into the executing tick, far-future overflow
- * events and cancels, checked against an ordered (tick, phase, chan,
- * seq) model. cancel() must succeed exactly while an event is pending,
- * and nextEventTick() must see the model's front.
+ * zero delays into the executing tick, far-future overflow events and
+ * cancels, checked against an ordered (tick, class, chan, seq) model
+ * (class 0 = local, 1 = channel post). cancel() must succeed exactly
+ * while an event is pending, and nextEventTick() must see the model's
+ * front.
  */
 TEST(EventQueueChannel, RandomizedMixedStressMatchesReferenceModel)
 {
@@ -639,7 +614,7 @@ TEST(EventQueueChannel, RandomizedMixedStressMatchesReferenceModel)
     EventQueue eq;
 
     using Key = std::tuple<Tick, std::uint64_t, std::uint64_t,
-                           std::uint64_t>; // tick, phase, chan, seq
+                           std::uint64_t>; // tick, class, chan, seq
     std::map<Key, std::uint64_t> model;    // key -> token
     struct Pending
     {
@@ -648,7 +623,7 @@ TEST(EventQueueChannel, RandomizedMixedStressMatchesReferenceModel)
     };
     std::vector<Pending> pending;
     std::vector<std::uint64_t> executed;
-    std::uint64_t nextToken = 0, seq = 0, phase = 0;
+    std::uint64_t nextToken = 0, seq = 0;
 
     auto delay = [&]() -> Tick {
         unsigned r = unsigned(rng() % 100);
@@ -667,10 +642,10 @@ TEST(EventQueueChannel, RandomizedMixedStressMatchesReferenceModel)
         if (rng() % 2) {
             std::uint64_t ch = rng() % 6;
             id = eq.scheduleAtChannel(when, ch, fn);
-            key = Key{when, phase + 1, ch, seq++};
+            key = Key{when, 1, ch, seq++};
         } else {
             id = eq.scheduleAt(when, fn);
-            key = Key{when, phase, 0, seq++};
+            key = Key{when, 0, 0, seq++};
         }
         model.emplace(key, token);
         pending.push_back({id, key});
@@ -683,11 +658,8 @@ TEST(EventQueueChannel, RandomizedMixedStressMatchesReferenceModel)
 
     for (int round = 0; round < 20000; ++round) {
         unsigned action = unsigned(rng() % 20);
-        if (action < 10) {
+        if (action < 11) {
             scheduleOne();
-        } else if (action < 11) {
-            eq.beginRound();
-            phase += 2;
         } else if (action < 14 && !pending.empty()) {
             std::size_t pick = rng() % pending.size();
             Pending p = pending[pick];

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <functional>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "net/topo/interconnect.hh"
@@ -45,11 +47,13 @@ TEST(EventQueuePeek, NextEventTickSeesEarliestLiveEvent)
 
 TEST(EventQueueWindows, WindowBarrierDrainKeepsFifoWithinTick)
 {
-    // Drive the queue the way the parallel engine does — runUntil() a
-    // window end, apply a sorted batch of cross-shard arrivals, run the
-    // next window — and check that events of one tick still execute in
-    // insertion order (FIFO within tick), with batch arrivals appended
-    // in their canonical order.
+    // Drive a bare queue in window-sized runUntil() steps, scheduling
+    // local events between the steps as a shard's own events do across
+    // windows: same-tick locals still execute in insertion order (FIFO
+    // within tick), whichever window scheduled them. Posts, which the
+    // staged engine applies between windows through
+    // scheduleAtChannel(), are pinned by the channel-order tests in
+    // event_queue_test.cc and by the window-invariance test below.
     EventQueue eq;
     std::vector<int> order;
 
@@ -60,12 +64,12 @@ TEST(EventQueueWindows, WindowBarrierDrainKeepsFifoWithinTick)
     eq.scheduleAt(100, [&] { order.push_back(3); });
     eq.runUntil(80); // window [0, 80]
 
-    // Barrier: apply the inbox for tick 100 in canonical channel order.
+    // Between windows: two more locals for tick 100.
     eq.scheduleAt(100, [&] { order.push_back(4); });
     eq.scheduleAt(100, [&] { order.push_back(5); });
     eq.runUntil(180); // window [81, 180]
 
-    // A later round posts to the same tick region first-in-first-out.
+    // A later window schedules into the next tick region.
     eq.scheduleAt(200, [&] { order.push_back(6); });
     eq.scheduleAt(200, [&] { order.push_back(7); });
     eq.run();
@@ -149,8 +153,9 @@ TEST(Lookahead, ShardPlanClampsAndRejectsZeroLookahead)
     EXPECT_EQ(plan.shards, 4u); // clamped to the node count
     EXPECT_EQ(plan.window, 84u);
 
-    // One requested thread runs the same windowed engine (that is the
-    // S = 1 anchor of the bit-identity guarantee).
+    // One requested thread runs the same engine and keeps the window as
+    // its lookahead contract (the S = 1 anchor of the bit-identity
+    // guarantee).
     in.requestedThreads = 1;
     plan = resolveShardPlan(in);
     EXPECT_EQ(plan.shards, 1u);
@@ -187,7 +192,7 @@ TEST(ParallelSchedulerTest, MailboxSpillKeepsCanonicalOrder)
 {
     // Blast one round with far more posts than a lane's ring capacity
     // (256): the overflow spills to the lane's vector and the barrier
-    // merge must still apply everything, in (tick, channel) order, with
+    // must still apply everything, in (tick, channel) order, with
     // nothing lost. Run the same storm at 1 and 2 shards and compare.
     auto run = [](unsigned shards) {
         constexpr int kPosts = 700;
@@ -245,6 +250,114 @@ TEST(ParallelSchedulerTest, CanonicalMergeOrderIsShardCountInvariant)
     EXPECT_EQ(one[0], 200);
     EXPECT_EQ(one[1], 100);
 }
+
+/** splitmix64 finalizer: a counter-based hash, no shared stream. */
+std::uint64_t
+mix(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
+TEST(ParallelSchedulerTest, PerNodeOrderIsWindowAndShardCountInvariant)
+{
+    // Same-tick order must come from the events alone, never from the
+    // window width or the shard count. Each of 8 nodes draws from its
+    // own counter-based hash stream: zero-delay and short-delay locals,
+    // and posts at least the widest window L ahead on chan::pair
+    // channels, so ticks mix locals and posts of several channels.
+    // Each node logs (tick, tag) of its own events only; the logs must
+    // match at windows L, L/2 and L/4 x shards 1, 2 and 4.
+    constexpr NodeId kNodes = 8;
+    constexpr Tick kL = 16;
+    constexpr std::uint64_t kDraws = 300; // per node
+    using Log = std::vector<std::pair<Tick, std::uint64_t>>;
+
+    auto run = [](unsigned shards, Tick window) {
+        ParallelScheduler sched(shards, kNodes, window);
+        struct Node
+        {
+            std::uint64_t draws = 0;
+            Log log;
+        };
+        std::vector<Node> nodes(kNodes); // node n: only its own events
+        std::function<void(NodeId, std::uint64_t)> fire =
+            [&](NodeId n, std::uint64_t tag) {
+                Node &me = nodes[n];
+                EventQueue &eq = sched.queueFor(n);
+                me.log.emplace_back(eq.now(), tag);
+                // One child, sometimes two, until the stream runs dry.
+                for (int k = 0; k < 2 && me.draws < kDraws; ++k) {
+                    std::uint64_t h = mix((std::uint64_t(n) << 32) |
+                                          me.draws);
+                    std::uint64_t child = (std::uint64_t(n) << 32) |
+                                          me.draws++;
+                    auto go = [&fire, child](NodeId at) {
+                        return [&fire, at, child] { fire(at, child); };
+                    };
+                    switch (h % 4) {
+                    case 0:
+                        eq.scheduleIn(0, go(n));
+                        break;
+                    case 1:
+                        eq.scheduleIn(1 + (h >> 8) % kL, go(n));
+                        break;
+                    default: {
+                        NodeId dst = NodeId((h >> 16) % kNodes);
+                        sched.post(dst, eq.now() + kL + (h >> 24) % 4,
+                                   chan::pair(n, dst, kNodes), go(dst));
+                    }
+                    }
+                    if ((h >> 32) % 3 != 0)
+                        break;
+                }
+            };
+        for (NodeId n = 0; n < kNodes; ++n)
+            sched.queueFor(n).scheduleAt(0, [&fire, n] { fire(n, ~0ull); });
+        sched.runUntil(tickNever);
+        std::vector<Log> logs;
+        for (Node &node : nodes)
+            logs.push_back(std::move(node.log));
+        return logs;
+    };
+
+    std::vector<Log> base = run(1, kL);
+    std::size_t events = 0;
+    for (const Log &log : base)
+        events += log.size();
+    EXPECT_GT(events, kNodes * kDraws / 2);
+    for (unsigned shards : {1u, 2u, 4u}) {
+        for (Tick window : {kL, kL / 2, kL / 4})
+            EXPECT_EQ(run(shards, window), base)
+                << "shards " << shards << ", window " << window;
+    }
+}
+
+#ifndef NDEBUG
+using ParallelSchedulerDeathTest = ::testing::Test;
+
+TEST(ParallelSchedulerDeathTest, PostCloserThanTheLookaheadAsserts)
+{
+    // Every post must land at least the window L after its cause — also
+    // one made on a window's last tick, where a check against the
+    // window end alone would let it land one tick later.
+    auto postFromWindowEnd = [](unsigned shards) {
+        ParallelScheduler sched(shards, 2, /*window=*/10);
+        sched.queueFor(0).scheduleAt(0, [] {}); // window [0, 9]
+        sched.queueFor(0).scheduleAt(9, [&] {
+            sched.post(1, 18, chan::pair(0, 1, 2), [] {});
+        });
+        sched.runUntil(tickNever);
+    };
+    for (unsigned shards : {1u, 2u}) {
+        EXPECT_DEATH(postFromWindowEnd(shards),
+                     "closer than the lookahead window")
+            << "shards " << shards;
+    }
+}
+#endif
 
 } // namespace
 } // namespace ltp

@@ -4,10 +4,11 @@
 #   $ tools/regen_goldens.sh [build-dir] [output-dir]
 #
 # Defaults: build/ and bench/golden/. The benches are bit-deterministic
-# (no wall-clock content), so these files only change when a PR changes
-# simulation behavior — which is exactly what the nightly workflow
-# diffs for. Rerun this script (Release build!) and commit the result
-# whenever such a change is intentional.
+# (no wall-clock content), so these files only change when a change to
+# the code changes simulation behavior — which is exactly what the
+# golden_<bench> ctest cases (tools/check_golden.sh) diff for. Rerun
+# this script (Release build!) and commit the result whenever such a
+# change is intentional.
 set -euo pipefail
 
 build_dir="${1:-build}"
