@@ -69,18 +69,69 @@ BM_LastPcTouch(benchmark::State &state)
 }
 BENCHMARK(BM_LastPcTouch);
 
-void
-BM_EventQueueScheduleRun(benchmark::State &state)
+/** The simulator's common delays: NI occupancy, flight, memory, service. */
+constexpr Tick kEventDelays[8] = {1, 2, 6, 55, 80, 104, 106, 110};
+
+/**
+ * A self-rescheduling event: each run schedules its successor at a
+ * pseudo-random delay from kEventDelays, as a local or (with @p Channel)
+ * as a post on the chain's own channel.
+ */
+template <bool Channel>
+struct Hop
 {
-    for (auto _ : state) {
-        EventQueue eq;
-        for (int i = 0; i < 1000; ++i)
-            eq.scheduleAt(Tick(i % 97), [] {});
-        eq.run();
-        benchmark::DoNotOptimize(eq.eventsExecuted());
+    EventQueue *eq;
+    std::uint64_t chan;
+    std::uint64_t state;
+
+    void
+    operator()() const
+    {
+        std::uint64_t s = state * 6364136223846793005ull +
+                          1442695040888963407ull;
+        Tick when = eq->now() + kEventDelays[s >> 61];
+        if constexpr (Channel)
+            eq->scheduleAtChannel(when, chan, Hop{eq, chan, s});
+        else
+            eq->scheduleAt(when, Hop{eq, chan, s});
     }
+};
+
+/**
+ * Steady-state schedule/execute cost: state.range(0) events stay
+ * pending while each timed step() runs one and schedules its successor,
+ * so the time per iteration is ns/event. The queue is built and warmed
+ * up outside the timed loop.
+ */
+template <bool Channel>
+void
+eventQueueSteadyState(benchmark::State &state)
+{
+    EventQueue eq;
+    const auto pending = std::uint64_t(state.range(0));
+    for (std::uint64_t i = 0; i < pending; ++i)
+        eq.scheduleAt(i % 7, Hop<Channel>{&eq, i, i + 1});
+    for (std::uint64_t i = 0; i < 20 * pending; ++i)
+        eq.step();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(eq.step());
+    benchmark::DoNotOptimize(eq.eventsExecuted());
+    state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_EventQueueScheduleRun);
+
+void
+BM_EventQueueSteadyState(benchmark::State &state)
+{
+    eventQueueSteadyState<false>(state);
+}
+BENCHMARK(BM_EventQueueSteadyState)->Arg(50)->Arg(200)->Arg(5000);
+
+void
+BM_EventQueueSteadyStateChannel(benchmark::State &state)
+{
+    eventQueueSteadyState<true>(state);
+}
+BENCHMARK(BM_EventQueueSteadyStateChannel)->Arg(200);
 
 void
 BM_EndToEndEm3d(benchmark::State &state)

@@ -220,8 +220,7 @@ DirController::handleGetS(const Message &msg, DirEntry &e)
         reply.dsiCandidate = dsiCandidate(msg, e, false);
         reply.verification = verdict;
         Tick latency = params_.engineOverhead + params_.memAccess;
-        send(reply, latency);
-        lockUntilSent(blk, latency);
+        sendData(reply, latency);
         return latency;
       }
       case DirState::Exclusive: {
@@ -271,8 +270,7 @@ DirController::handleGetX(const Message &msg, DirEntry &e)
         reply.dsiCandidate = cand;
         reply.verification = verdict;
         Tick latency = params_.engineOverhead + params_.memAccess;
-        send(reply, latency);
-        lockUntilSent(blk, latency);
+        sendData(reply, latency);
         return latency;
       }
       case DirState::Shared: {
@@ -294,8 +292,7 @@ DirController::handleGetX(const Message &msg, DirEntry &e)
             reply.dsiCandidate = false;
             reply.verification = verdict;
             Tick latency = params_.engineOverhead;
-            send(reply, latency);
-            lockUntilSent(blk, latency);
+            sendData(reply, latency);
             return latency;
         }
         e.busy = true;
@@ -411,10 +408,9 @@ DirController::completeWithWriteback(Addr blk, DirEntry &e, Txn &txn)
         reply.type = MsgType::DataS;
     }
     Tick latency = params_.engineOverhead + params_.memAccess;
-    send(reply, latency);
+    sendData(reply, latency);
     txns_.erase(blk);
     txnVerdicts_.erase(blk);
-    lockUntilSent(blk, latency);
     return latency;
 }
 
@@ -438,10 +434,9 @@ DirController::completeInvalidation(Addr blk, DirEntry &e, Txn &txn)
     reply.dsiCandidate = cand;
     reply.verification = txnVerdicts_[blk];
     Tick latency = params_.engineOverhead + params_.memAccess;
-    send(reply, latency);
+    sendData(reply, latency);
     txns_.erase(blk);
     txnVerdicts_.erase(blk);
-    lockUntilSent(blk, latency);
     return latency;
 }
 
@@ -517,8 +512,7 @@ DirController::handleSelfInvOrEvict(const Message &msg)
                     fwd.version = e.version;
                     Tick latency =
                         params_.engineOverhead + params_.memAccess;
-                    send(fwd, latency);
-                    lockUntilSent(blk, latency);
+                    sendData(fwd, latency);
                     return latency;
                 }
             }
@@ -550,10 +544,13 @@ DirController::send(Message msg, Tick delay)
 }
 
 void
-DirController::lockUntilSent(Addr blk, Tick delay)
+DirController::sendData(Message msg, Tick delay)
 {
-    dir_.entry(blk).busy = true;
-    eq_.scheduleIn(delay, [this, blk] { unlock(blk); });
+    dir_.entry(msg.addr).busy = true;
+    eq_.scheduleIn(delay, [this, msg] {
+        net_.send(msg);
+        unlock(msg.addr);
+    });
 }
 
 void

@@ -134,13 +134,16 @@ class DirController
     void send(Message msg, Tick delay);
 
     /**
-     * Mark @p blk busy and release it after @p delay — used when a data
-     * reply is still being assembled: any new request for the block is
-     * deferred until the reply is on the wire, which (with FIFO
-     * channels) guarantees the requester's fill arrives before any
-     * invalidation we later send it.
+     * Send the data message @p msg (a reply, or a forward) @p delay
+     * ticks from now, and keep its block busy until then: the reply
+     * window, while the data is still being assembled. Any new request
+     * for the block, or a flush racing the reply, is deferred until the
+     * data is on the wire, which (with FIFO channels) guarantees the
+     * receiver's fill arrives before any invalidation we later send it.
+     * One event sends the data and then unlocks the block, so nothing
+     * can run between the two.
      */
-    void lockUntilSent(Addr blk, Tick delay);
+    void sendData(Message msg, Tick delay);
     void unlock(Addr blk);
 
     NodeId node_;

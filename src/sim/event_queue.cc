@@ -7,127 +7,86 @@
 namespace ltp
 {
 
-std::uint32_t
+EventQueue::Slot *
 EventQueue::grow()
 {
-    assert(numSlots_ < slotMask && "event slot arena exhausted");
-    if ((numSlots_ & chunkMask) == 0)
+    std::size_t i = numSlots_++ & chunkMask;
+    if (i == 0)
         chunks_.push_back(std::make_unique<Chunk>());
-    return numSlots_++;
+    return &(*chunks_.back())[i];
 }
 
-EventQueue::EventId
-EventQueue::enqueue(std::uint32_t i, Tick when, std::uint64_t key)
+void
+EventQueue::enqueue(Slot *s, Tick when, std::uint64_t key)
 {
-    Slot &s = slot(i);
-    EventId id = (nextGen_++ << slotBits) | i;
-    s.id = id;
-    s.when = when;
-    s.key = key;
-    s.cancelled = false;
+    s->when = when;
+    s->key = key;
+    std::uint64_t seq = nextSeq_++;
 
     bool force_overflow =
         guard::Faults::on(guard::FaultKind::CalendarOverflow) &&
-        guard::Faults::instance().calendarOverflowHit(nextGen_);
+        guard::Faults::instance().calendarOverflowHit(nextSeq_);
     if (when - now_ < window && !force_overflow) {
-        pushBucket(i);
+        pushBucket(s);
     } else {
         // Far-future event — or the cal-overflow fault pretending it
         // is one. Either way the event waits in the heap and migrate()
         // links it into its tick's list before it can fire, so the
         // forced detour is invisible to results.
-        overflow_.push(OverflowEntry{when, key, id});
+        overflow_.push(OverflowEntry{when, key, seq, s});
     }
     ++liveEvents_;
-    return id;
 }
 
 void
-EventQueue::pushBucket(std::uint32_t i)
+EventQueue::pushBucket(Slot *s)
 {
-    Slot &s = slot(i);
-    assert(s.when - now_ < window);
-    std::size_t idx = std::size_t(s.when) & windowMask;
-    Bucket &b = buckets_[idx];
-    s.next = nil;
-    if (b.head == nil) {
-        b.head = b.tail = i;
+    assert(s->when - now_ < window);
+    std::size_t idx = std::size_t(s->when) & windowMask;
+    Slot *&tail = tails_[idx];
+    if (!tail) {
+        s->next = s;
+        tail = s;
         bitmap_[idx >> 6] |= std::uint64_t(1) << (idx & 63);
+    } else if (tail->key <= s->key) {
+        // Hot path: keys are nondecreasing for plain scheduleAt()
+        // traffic (key 0), so this is a pure append.
+        s->next = tail->next;
+        tail->next = s;
+        tail = s;
     } else {
-        Slot &last = slot(b.tail);
-        if (!keyBefore(s.key, s.id, last.key, last.id)) {
-            // Hot path: keys are nondecreasing for plain scheduleAt()
-            // traffic (key 0, sequence monotonic), so this is a pure
-            // append.
-            last.next = i;
-            b.tail = i;
-        } else {
-            insertSorted(b, i);
-        }
+        insertSorted(tail, s);
     }
-    ++bucketedEntries_;
 }
 
 // Out of line on purpose: only an event overtaking same-tick events of
 // a later key (a channel post passing a larger channel id, a local
-// passing the tick's pending posts) or a migrated overflow event lands
-// here, and keeping the list walk out of pushBucket() keeps the append
-// path's code footprint minimal.
+// passing the tick's pending posts) or a migrated overflow event doing
+// the same lands here, and keeping the list walk out of pushBucket()
+// keeps the append path's code footprint minimal.
 __attribute__((noinline)) void
-EventQueue::insertSorted(Bucket &b, std::uint32_t i)
+EventQueue::insertSorted(Slot *tail, Slot *s)
 {
-    // The list holds only events still pending at this tick (executed
-    // ones were unlinked from the head), and the new event sorts before
-    // the tail, so the walk stops inside the list. Tick lists are short.
-    Slot &s = slot(i);
-    std::uint32_t prev = nil;
-    std::uint32_t cur = b.head;
-    for (;;) {
-        Slot &c = slot(cur);
-        if (keyBefore(s.key, s.id, c.key, c.id))
-            break;
-        prev = cur;
-        cur = c.next;
-    }
-    s.next = cur;
-    if (prev == nil)
-        b.head = i;
-    else
-        slot(prev).next = i;
+    // Every same-key entry already linked was scheduled before s, so s
+    // goes after the last entry whose key is <= its own. The walk starts
+    // at the tail, whose next is the head; the tail's key is larger than
+    // s's, so it stops before passing the tail. Tick lists are short.
+    Slot *prev = tail;
+    while (prev->next->key <= s->key)
+        prev = prev->next;
+    s->next = prev->next;
+    prev->next = s;
 }
 
 void
 EventQueue::migrateSlow()
 {
     while (!overflow_.empty() && overflow_.top().when - now_ < window) {
-        std::uint32_t i = std::uint32_t(overflow_.top().id & slotMask);
+        Slot *s = overflow_.top().slot;
         overflow_.pop();
-        if (slot(i).cancelled) {
-            release(i); // cancelled while parked in the overflow heap
-            continue;
-        }
-        pushBucket(i);
+        pushBucket(s);
         ++overflowMigrations_;
     }
-}
-
-bool
-EventQueue::cancel(EventId id)
-{
-    if (id == 0)
-        return false; // the null handle; free slots carry id 0
-    std::uint32_t i = std::uint32_t(id & slotMask);
-    if (i >= numSlots_)
-        return false; // never existed
-    Slot &s = slot(i);
-    if (s.id != id || s.cancelled)
-        return false; // already ran, running, or already cancelled
-    // The slot stays linked (its key keeps the tick list sorted) until
-    // the pop path reaches and frees it; only the callback goes now.
-    s.cancelled = true;
-    s.cb.reset();
-    --liveEvents_;
-    return true;
 }
 
 std::size_t
@@ -146,107 +105,89 @@ EventQueue::firstBucket() const
         if (bitmap_[ww])
             return (ww << 6) + std::size_t(__builtin_ctzll(bitmap_[ww]));
     }
-    assert(false && "firstBucket called with an empty ring");
-    return 0;
+    return noBucket;
 }
 
-std::uint32_t
-EventQueue::peekLive()
+EventQueue::Slot *
+EventQueue::popNext(Tick limit)
 {
-    while (liveEvents_ > 0) {
-        migrate();
-
-        if (bucketedEntries_ > 0) {
-            std::size_t idx = firstBucket();
-            std::uint32_t i = buckets_[idx].head;
-            if (!slot(i).cancelled)
-                return i;
-            unlinkHead(idx);
-            release(i);
-            continue;
+    migrate();
+    std::size_t idx = firstBucket();
+    if (idx != noBucket) {
+        Slot *&tail = tails_[idx];
+        Slot *s = tail->next; // the head
+        if (s->when > limit)
+            return nullptr; // leave it pending for a later run
+        if (s == tail) {
+            tail = nullptr;
+            bitmap_[idx >> 6] &= ~(std::uint64_t(1) << (idx & 63));
+        } else {
+            tail->next = s->next;
         }
-
-        // Ring empty: the next event is a far-future one in the overflow
-        // heap (migrate() above guarantees overflow events are beyond
-        // the current window, hence later than anything bucketed).
-        assert(!overflow_.empty() &&
-               "live events but empty ring and overflow");
-        std::uint32_t i = std::uint32_t(overflow_.top().id & slotMask);
-        if (!slot(i).cancelled)
-            return i;
-        overflow_.pop();
-        release(i);
+        return s;
     }
-    return nil;
-}
-
-std::uint32_t
-EventQueue::popNextLive(Tick limit)
-{
-    std::uint32_t i = peekLive();
-    if (i == nil)
-        return nil;
-    Tick when = slot(i).when;
-    if (when > limit)
-        return nil; // leave it pending for a later run
-    if (bucketedEntries_ > 0)
-        unlinkHead(std::size_t(when) & windowMask);
-    else
-        overflow_.pop();
-    return i;
+    // Ring empty: the next event is a far-future one in the overflow
+    // heap. It runs straight from there; the rest of its tick migrates
+    // once now_ reaches it.
+    if (overflow_.empty() || overflow_.top().when > limit)
+        return nullptr;
+    Slot *s = overflow_.top().slot;
+    overflow_.pop();
+    return s;
 }
 
 Tick
 EventQueue::nextEventTick()
 {
-    std::uint32_t i = peekLive();
-    return i == nil ? tickNever : slot(i).when;
+    migrate();
+    std::size_t idx = firstBucket();
+    if (idx != noBucket)
+        return tails_[idx]->when; // one tick per list
+    return overflow_.empty() ? tickNever : overflow_.top().when;
 }
 
 void
-EventQueue::executeSlot(std::uint32_t i)
+EventQueue::execute(Slot *s)
 {
-    Slot &s = slot(i);
-    assert(s.when >= now_);
-    now_ = s.when;
-    // Untag first: the event can no longer be cancelled, not even by
-    // itself. The slot is neither linked nor free while the callback
-    // runs in place, so whatever it schedules lands in other slots, and
-    // arena growth never moves this one (chunks are stable).
-    s.id = 0;
+    assert(s->when >= now_);
+    now_ = s->when;
     --liveEvents_;
     ++executed_;
-    // Destroy and recycle even if the callback throws.
+    // The slot is neither linked nor free while the callback runs in
+    // place, so whatever it schedules lands in other slots, and arena
+    // growth never moves this one (chunks are stable). Destroy and
+    // recycle even if the callback throws.
     struct Recycle
     {
         EventQueue &q;
-        std::uint32_t i;
+        Slot *s;
         ~Recycle()
         {
-            q.slot(i).cb.reset();
-            q.release(i);
+            s->cb.reset();
+            s->next = q.freeHead_;
+            q.freeHead_ = s;
         }
-    } recycle{*this, i};
-    s.cb();
+    } recycle{*this, s};
+    s->cb();
 }
 
 bool
 EventQueue::step()
 {
-    std::uint32_t i = popNextLive(tickNever);
-    if (i == nil)
+    Slot *s = popNext(tickNever);
+    if (!s)
         return false;
-    executeSlot(i);
+    execute(s);
     return true;
 }
 
 Tick
 EventQueue::runUntil(Tick limit)
 {
-    std::uint32_t i;
+    Slot *s;
     while (!abort_.load(std::memory_order_relaxed) &&
-           (i = popNextLive(limit)) != nil) {
-        executeSlot(i);
+           (s = popNext(limit)) != nullptr) {
+        execute(s);
         if ((executed_ & (beatPeriod - 1)) == 0)
             publishProgress();
     }

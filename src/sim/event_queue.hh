@@ -18,21 +18,18 @@
  *    allocations and zero callback relocations.
  *
  *  - The slot is also the calendar entry. Events within `window` ticks
- *    of now are threaded through a per-tick sorted list (a bucket is a
- *    {head, tail} pair of slot indices; O(1) append, bitmap-accelerated
- *    scan to the next non-empty tick). The rare far-future event waits
- *    in a binary-heap overflow area and migrates into its tick's list
- *    as the window advances. Nearly every simulator delay (NI
- *    occupancy, wire flight, memory access, barrier release) is far
- *    below the window, so the common path never touches the heap.
+ *    of now are threaded through a per-tick sorted circular list (the
+ *    ring holds one pointer per tick, to its tail, whose link is the
+ *    head; O(1) append, bitmap-accelerated scan to the next non-empty
+ *    tick). The rare far-future event waits in a binary-heap overflow
+ *    area and migrates into its tick's list as the window advances.
+ *    Nearly every simulator delay (NI occupancy, wire flight, memory
+ *    access, barrier release) is far below the window, so the common
+ *    path never touches the heap.
  *
- *  - An event id encodes its slot index plus a generation tag (the
- *    global schedule sequence number, which doubles as the FIFO
- *    tie-breaker). cancel() marks the slot and drops its callback; the
- *    pop path frees a marked slot when it reaches it. A slot's tag is
- *    cleared when its event starts running and it is retagged only on
- *    reuse, so ids are single-use and a running event cannot be
- *    cancelled.
+ *  - Popping is one pass: find the first non-empty tick, unlink its
+ *    head, run it in place. Events cannot be cancelled, so every linked
+ *    slot is a live event.
  *
  * Same-tick order
  * ---------------
@@ -46,6 +43,16 @@
  *  - scheduleAtChannel() events ("channel posts") take key 1 + chan:
  *    they follow the tick's locals, by channel id, FIFO within a
  *    channel.
+ *
+ * Tick lists need no per-slot sequence number to keep this order: an
+ * event is linked in after the last entry whose key is <= its own (for
+ * a plain append, the tail), which is right as long as every same-key
+ * entry already there was scheduled before it. A directly scheduled
+ * event is the newest of all. Overflow events leave the heap in (key,
+ * sequence) order, and before any later event can be scheduled
+ * straight into their tick, because migrate() runs first in every
+ * schedule and pop. The schedule sequence survives only as the
+ * overflow heap's tie-break.
  *
  * The rule depends on nothing but the events themselves, so the
  * parallel engine (src/sim/par/) gets the same per-node order from any
@@ -65,6 +72,7 @@
 #include <functional>
 #include <memory>
 #include <queue>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -86,16 +94,6 @@ class EventQueue
   public:
     using Callback = SmallFunction;
 
-    /**
-     * Handle used to cancel a scheduled event.
-     *
-     * Encodes (generation << slotBits) | slot. Generation tags make ids
-     * single-use: once an event runs or is cancelled its slot is
-     * recycled under a new generation, so a stale id can never cancel
-     * the slot's next occupant.
-     */
-    using EventId = std::uint64_t;
-
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -114,21 +112,20 @@ class EventQueue
      * channel posts, FIFO among themselves.
      *
      * @pre when >= now(); scheduling in the past is a caller bug.
-     * @return an id usable with cancel().
      */
     template <typename F>
-    EventId
+    void
     scheduleAt(Tick when, F &&f)
     {
-        return scheduleKeyed(when, 0, std::forward<F>(f));
+        scheduleKeyed(when, 0, std::forward<F>(f));
     }
 
     /** Schedule @p f to run @p delay ticks from now. */
     template <typename F>
-    EventId
+    void
     scheduleIn(Tick delay, F &&f)
     {
-        return scheduleAt(now_ + delay, std::forward<F>(f));
+        scheduleAt(now_ + delay, std::forward<F>(f));
     }
 
     /**
@@ -140,24 +137,16 @@ class EventQueue
      * (tick, channel) order.
      */
     template <typename F>
-    EventId
+    void
     scheduleAtChannel(Tick when, std::uint64_t chan, F &&f)
     {
-        return scheduleKeyed(when, 1 + chan, std::forward<F>(f));
+        scheduleKeyed(when, 1 + chan, std::forward<F>(f));
     }
 
-    /**
-     * Cancel a previously scheduled event.
-     *
-     * @return true if the event was pending and is now cancelled; false if
-     *         it already ran, was already cancelled, or never existed.
-     */
-    bool cancel(EventId id);
-
-    /** True when no runnable events remain. */
+    /** True when no events remain. */
     bool empty() const { return liveEvents_ == 0; }
 
-    /** Number of pending (non-cancelled) events. */
+    /** Number of pending events. */
     std::size_t size() const { return liveEvents_; }
 
     /**
@@ -227,10 +216,9 @@ class EventQueue
     std::uint64_t overflowMigrations() const { return overflowMigrations_; }
 
     /**
-     * Tick of the earliest pending (non-cancelled) event, or tickNever
-     * when the queue is drained. Used by the parallel engine to plan
-     * conservative windows; frees cancelled slots it passes as a side
-     * effect but never dequeues or executes anything.
+     * Tick of the earliest pending event, or tickNever when the queue
+     * is drained. Used by the parallel engine to plan conservative
+     * windows; never dequeues or executes anything.
      */
     Tick nextEventTick();
 
@@ -242,126 +230,84 @@ class EventQueue
     std::size_t poolSlots() const { return numSlots_; }
 
   private:
-    /** Low bits of an EventId select the slot; the rest are the tag. */
-    static constexpr unsigned slotBits = 24;
-    static constexpr std::uint64_t slotMask = (std::uint64_t(1)
-                                               << slotBits) -
-                                              1;
-
     /** Calendar span: events within [now, now + window) are bucketed. */
     static constexpr std::size_t window = 2048;
     static constexpr std::size_t windowMask = window - 1;
     static constexpr std::size_t windowWords = window / 64;
 
-    /** Null slot index: the end of a tick list or of the free list. */
-    static constexpr std::uint32_t nil = 0xffffffffu;
-
-    /** Slots per arena chunk (1024). */
-    static constexpr unsigned chunkShift = 10;
-    static constexpr std::uint32_t chunkMask = (1u << chunkShift) - 1;
+    /** Slots per arena chunk. */
+    static constexpr std::size_t chunkSize = 1024;
+    static constexpr std::size_t chunkMask = chunkSize - 1;
 
     /**
      * One pending event, which is also its own calendar entry. The
-     * ordering key is 0 for a local and 1 + chan for a channel post; the
-     * schedule sequence lives in the id's generation bits, making the
-     * full same-tick order (key, sequence).
+     * ordering key is 0 for a local and 1 + chan for a channel post;
+     * the FIFO tie-break is the slot's place in its tick list.
      */
     struct Slot
     {
-        EventId id = 0; //!< 0 = free or running (generations start at 1)
         Tick when = 0;
         std::uint64_t key = 0;
-        /** Next slot in this tick's list, or in the free list. */
-        std::uint32_t next = nil;
-        /** cancel()ed: callback dropped, awaiting the pop path's free. */
-        bool cancelled = false;
+        /**
+         * Next slot in this tick's circular list (the tail's is the
+         * head), or in the free list.
+         */
+        Slot *next = nullptr;
         Callback cb;
     };
 
-    using Chunk = std::array<Slot, std::size_t(1) << chunkShift>;
+    using Chunk = std::array<Slot, chunkSize>;
 
-    /** Same-tick execution order: key, then schedule sequence. */
-    static bool
-    keyBefore(std::uint64_t ka, EventId ida, std::uint64_t kb, EventId idb)
-    {
-        if (ka != kb)
-            return ka < kb;
-        return ida < idb; // generation bits dominate: schedule order
-    }
-
-    /**
-     * One calendar tick's events: a list of slots threaded through
-     * Slot::next, sorted by ordering key. Only pending events (and
-     * cancelled ones not yet freed) are linked; execution unlinks from
-     * the head.
-     */
-    struct Bucket
-    {
-        std::uint32_t head = nil;
-        std::uint32_t tail = nil;
-    };
-
+    /** A far-future event, ordered by (when, key, schedule sequence). */
     struct OverflowEntry
     {
         Tick when;
         std::uint64_t key;
-        EventId id;
+        std::uint64_t seq;
+        Slot *slot;
 
         bool
         operator>(const OverflowEntry &o) const
         {
-            if (when != o.when)
-                return when > o.when;
-            return keyBefore(o.key, o.id, key, id);
+            return std::tie(when, key, seq) > std::tie(o.when, o.key, o.seq);
         }
     };
 
-    Slot &
-    slot(std::uint32_t i)
-    {
-        return (*chunks_[i >> chunkShift])[i & chunkMask];
-    }
-
     /**
      * The keyed implementation behind every schedule flavour: take a
-     * slot, build the callable in it, then tag and link it.
+     * slot, build the callable in it, then link it.
      */
     template <typename F>
-    EventId
+    void
     scheduleKeyed(Tick when, std::uint64_t key, F &&f)
     {
         assert(when >= now_ && "scheduling an event in the past");
-        // Pull freshly-eligible overflow events in first; their keys were
-        // assigned at schedule time, so they land at their sorted position
-        // regardless, but migrating early keeps the ring scan cheap.
+        // Overflow events that entered the window must reach their tick
+        // lists before anything newer can (see "Same-tick order").
         migrate();
-        std::uint32_t i = acquire();
-        slot(i).cb.emplace(std::forward<F>(f));
-        return enqueue(i, when, key);
-    }
-
-    /** Pop a slot off the free list, or grow the arena. */
-    std::uint32_t
-    acquire()
-    {
-        std::uint32_t i = freeHead_;
-        if (i == nil)
-            return grow();
-        freeHead_ = slot(i).next;
-        return i;
+        Slot *s = freeHead_;
+        if (s)
+            freeHead_ = s->next;
+        else
+            s = grow();
+        s->cb.emplace(std::forward<F>(f));
+        enqueue(s, when, key);
     }
 
     /** Materialize the next slot (a new chunk every 1024 slots). */
-    std::uint32_t grow();
+    Slot *grow();
 
-    /** Tag slot @p i (callback already built) and link it in. */
-    EventId enqueue(std::uint32_t i, Tick when, std::uint64_t key);
+    /** Stamp slot @p s (callback already built) and link it in. */
+    void enqueue(Slot *s, Tick when, std::uint64_t key);
 
-    /** Link slot @p i into its tick's list (within the window). */
-    void pushBucket(std::uint32_t i);
+    /** Link slot @p s into its tick's list (within the window). */
+    void pushBucket(Slot *s);
 
-    /** Cold path of pushBucket: a key-overtaking (channel) insert. */
-    void insertSorted(Bucket &b, std::uint32_t i);
+    /**
+     * Cold path of pushBucket: a key-overtaking (channel) insert into
+     * the list whose tail is @p tail.
+     */
+    static void insertSorted(Slot *tail, Slot *s);
 
     /** Move overflow events that entered the window into the ring. */
     void
@@ -373,67 +319,44 @@ class EventQueue
 
     void migrateSlow();
 
-    /**
-     * The next live event's slot (nil when none), freeing the cancelled
-     * slots in front of it. Leaves it queued: it is the head of the
-     * first non-empty tick list, or — with the ring empty — the top of
-     * the overflow heap.
-     */
-    std::uint32_t peekLive();
+    /** firstBucket()'s answer when the ring is empty. */
+    static constexpr std::size_t noBucket = window;
 
-    /**
-     * Locate and dequeue the next live event with when <= @p limit.
-     * Leaves it (and now_) untouched when the next event is beyond the
-     * limit. @return the slot index, or nil when nothing is runnable.
-     */
-    std::uint32_t popNextLive(Tick limit);
-
-    /** Ring index of the first non-empty bucket at or after now_. */
+    /** Ring index of the first non-empty tick at or after now_. */
     std::size_t firstBucket() const;
 
-    /** Unlink the head of bucket @p idx's list. */
-    void
-    unlinkHead(std::size_t idx)
-    {
-        Bucket &b = buckets_[idx];
-        b.head = slot(b.head).next;
-        --bucketedEntries_;
-        if (b.head == nil) {
-            b.tail = nil;
-            bitmap_[idx >> 6] &= ~(std::uint64_t(1) << (idx & 63));
-        }
-    }
+    /**
+     * Dequeue the next event if its tick is <= @p limit: the head of
+     * the first non-empty tick list or, with the ring empty, the top of
+     * the overflow heap. @return its slot, or null (nothing dequeued)
+     * when the queue is empty or the next event lies beyond the limit.
+     */
+    Slot *popNext(Tick limit);
 
     /**
-     * Advance now_ to slot @p i's tick and run its callback in place,
+     * Advance now_ to slot @p s's tick and run its callback in place,
      * then destroy the callback and recycle the slot.
      */
-    void executeSlot(std::uint32_t i);
+    void execute(Slot *s);
 
-    /** Return slot @p i (callback already destroyed) to the free list. */
-    void
-    release(std::uint32_t i)
-    {
-        Slot &s = slot(i);
-        s.id = 0;
-        s.next = freeHead_;
-        freeHead_ = i;
-    }
-
-    std::array<Bucket, window> buckets_;     //!< per-tick slot lists
-    std::uint64_t bitmap_[windowWords] = {}; //!< non-empty-bucket bits
-    /** Slots linked into the ring, cancelled ones included. */
-    std::size_t bucketedEntries_ = 0;
+    /**
+     * The calendar ring: each tick's events form a circular list through
+     * Slot::next, sorted by ordering key, FIFO within a key. The ring
+     * holds the tail (null for an empty tick), whose next is the head,
+     * so one pointer serves the O(1) append and the pop from the head.
+     */
+    std::array<Slot *, window> tails_{};
+    std::uint64_t bitmap_[windowWords] = {}; //!< non-empty-tick bits
     std::priority_queue<OverflowEntry, std::vector<OverflowEntry>,
                         std::greater<>>
         overflow_;
 
     /** The slot arena: fixed chunks, so slots never move. */
     std::vector<std::unique_ptr<Chunk>> chunks_;
-    std::uint32_t numSlots_ = 0;   //!< slots materialized (high-water)
-    std::uint32_t freeHead_ = nil; //!< LIFO free list through Slot::next
+    std::size_t numSlots_ = 0; //!< slots materialized (high-water)
+    Slot *freeHead_ = nullptr; //!< LIFO free list through Slot::next
     Tick now_ = 0;
-    std::uint64_t nextGen_ = 1;
+    std::uint64_t nextSeq_ = 1; //!< schedule sequence (heap tie-break)
     std::size_t liveEvents_ = 0;
     std::uint64_t executed_ = 0;
 

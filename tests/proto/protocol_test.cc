@@ -195,6 +195,34 @@ TEST_F(ProtocolTest, ReadInvalidatesWriterMigratoryProtocol)
     EXPECT_EQ(caches_[0]->cache().state(blkB), CacheState::Invalid);
 }
 
+/**
+ * The host-side event budget of one coherence transaction: exact event
+ * counts at unchanged latencies, so a change that adds events to the
+ * protocol's hot path shows up here. A cold remote read runs 8 events:
+ *   1. the cache sends GetS (control overhead + remote lookup);
+ *   2. GetS reaches the home's ingress NI (egress + flight);
+ *   3. the NI delivers it; the directory starts the data reply;
+ *   4. the directory engine frees up (half the service latency);
+ *   5. the directory sends DataS and unlocks the block;
+ *   6. DataS reaches the requester's ingress NI;
+ *   7. the NI delivers it and the cache fills the line;
+ *   8. the access completes (control overhead later).
+ * A cold local read skips both NI hand-offs but adds the 1-cycle local
+ * deliveries (6 events). A write that invalidates one sharer adds the
+ * Inv/InvAck round trip and a second engine pass (15 events).
+ */
+TEST_F(ProtocolTest, OneTransactionRunsAFixedNumberOfEvents)
+{
+    auto events = [this](NodeId n, Addr addr, bool write, Tick latency) {
+        std::uint64_t before = eq_.eventsExecuted();
+        EXPECT_EQ(access(n, addr, write), latency);
+        return eq_.eventsExecuted() - before;
+    };
+    EXPECT_EQ(events(0, blkB, false, 410), 8u); // cold remote read
+    EXPECT_EQ(events(0, blkA, false, 116), 6u); // cold local read
+    EXPECT_EQ(events(3, blkB, true, 594), 15u); // invalidates node 0
+}
+
 TEST_F(ProtocolTest, ThreeHopReadCostsMoreThanTwoHop)
 {
     Tick two_hop = access(0, blkB, false);

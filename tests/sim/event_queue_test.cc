@@ -6,10 +6,13 @@
 #include <map>
 #include <memory>
 #include <random>
+#include <stdexcept>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/guard/fault.hh"
 #include "sim/par/parallel_scheduler.hh"
 #include "sim/small_function.hh"
 
@@ -60,31 +63,8 @@ TEST(EventQueue, ScheduleInIsRelative)
     EXPECT_EQ(seen, 150u);
 }
 
-TEST(EventQueue, CancelPreventsExecution)
-{
-    EventQueue eq;
-    bool ran = false;
-    auto id = eq.scheduleAt(10, [&] { ran = true; });
-    EXPECT_TRUE(eq.cancel(id));
-    eq.run();
-    EXPECT_FALSE(ran);
-}
 
-TEST(EventQueue, CancelTwiceFails)
-{
-    EventQueue eq;
-    auto id = eq.scheduleAt(10, [] {});
-    EXPECT_TRUE(eq.cancel(id));
-    EXPECT_FALSE(eq.cancel(id));
-}
 
-TEST(EventQueue, CancelAfterExecutionFails)
-{
-    EventQueue eq;
-    auto id = eq.scheduleAt(10, [] {});
-    eq.run();
-    EXPECT_FALSE(eq.cancel(id));
-}
 
 TEST(EventQueue, StepExecutesExactlyOne)
 {
@@ -145,59 +125,7 @@ TEST(EventQueue, CountsExecutedEvents)
     EXPECT_EQ(eq.eventsExecuted(), 7u);
 }
 
-TEST(EventQueue, CancelledEventNotCounted)
-{
-    EventQueue eq;
-    auto id = eq.scheduleAt(1, [] {});
-    eq.scheduleAt(2, [] {});
-    eq.cancel(id);
-    eq.run();
-    EXPECT_EQ(eq.eventsExecuted(), 1u);
-}
-
-// ---- pooling / generation-tag safety ---------------------------------------
-
-TEST(EventQueue, NullAndGarbageIdsCannotCancel)
-{
-    EventQueue eq;
-    bool ran = false;
-    eq.scheduleAt(10, [&] { ran = true; });
-    // Id 0 is the natural "not scheduled" sentinel; it must never match
-    // a free slot (which also carries tag 0).
-    EXPECT_FALSE(eq.cancel(0));
-    EXPECT_FALSE(eq.cancel(~EventQueue::EventId(0)));
-    EXPECT_EQ(eq.size(), 1u);
-    eq.run();
-    EXPECT_TRUE(ran);
-}
-
-TEST(EventQueue, StaleIdCannotCancelRecycledSlot)
-{
-    EventQueue eq;
-    bool first = false, second = false;
-    auto id1 = eq.scheduleAt(10, [&] { first = true; });
-    eq.run(); // id1's slot is recycled
-    auto id2 = eq.scheduleAt(20, [&] { second = true; });
-    // The recycled slot now belongs to id2; the stale id must not touch it.
-    EXPECT_FALSE(eq.cancel(id1));
-    eq.run();
-    EXPECT_TRUE(first);
-    EXPECT_TRUE(second);
-    EXPECT_TRUE(eq.cancel(id2) == false); // already ran
-}
-
-TEST(EventQueue, StaleIdAfterCancelCannotCancelReuse)
-{
-    EventQueue eq;
-    bool ran = false;
-    auto id1 = eq.scheduleAt(10, [] {});
-    EXPECT_TRUE(eq.cancel(id1));
-    auto id2 = eq.scheduleAt(10, [&] { ran = true; }); // reuses the slot
-    EXPECT_FALSE(eq.cancel(id1));
-    eq.run();
-    EXPECT_TRUE(ran);
-    (void)id2;
-}
+// ---- slot pooling ----------------------------------------------------------
 
 TEST(EventQueue, SlotPoolStopsGrowingInSteadyState)
 {
@@ -253,61 +181,36 @@ TEST(EventQueue, RunUntilBoundaryWithFarFutureEvents)
 }
 
 /**
- * Randomized stress: interleaved schedule / cancel / reschedule checked
- * against a reference model (an ordered multimap keyed by (tick, seq)).
- * Execution order must match the model exactly — absolute-tick order,
- * FIFO within a tick, cancelled events skipped — and event ids must stay
- * single-use under heavy slot reuse.
+ * Randomized stress: interleaved schedule / step under heavy slot reuse,
+ * checked against a reference model (an ordered map keyed by
+ * (tick, seq)). Execution order must match the model exactly —
+ * absolute-tick order, FIFO within a tick.
  */
 TEST(EventQueue, RandomizedStressMatchesReferenceModel)
 {
     std::mt19937_64 rng(12345);
     EventQueue eq;
 
-    struct Pending
-    {
-        EventQueue::EventId id;
-        std::uint64_t token;
-    };
-    std::vector<Pending> pending;               // cancellation candidates
     std::map<std::pair<Tick, std::uint64_t>, std::uint64_t> model;
-    std::vector<std::uint64_t> executed;        // tokens, in executed order
+    std::vector<std::uint64_t> executed; // tokens, in executed order
     std::uint64_t nextToken = 0, seq = 0;
 
     auto scheduleOne = [&](Tick when) {
         std::uint64_t token = nextToken++;
         std::uint64_t s = seq++;
-        auto id = eq.scheduleAt(when, [&executed, token] {
+        eq.scheduleAt(when, [&executed, token] {
             executed.push_back(token);
         });
         model.emplace(std::make_pair(when, s), token);
-        pending.push_back({id, token});
     };
 
     for (int round = 0; round < 2000; ++round) {
-        unsigned action = rng() % 10;
+        unsigned action = rng() % 8;
         if (action < 6) {
             // Mix near, same-tick, and far-future (overflow) delays.
             Tick delay = (rng() % 100 == 0) ? 5000 + rng() % 5000
                                             : rng() % 300;
             scheduleOne(eq.now() + delay);
-        } else if (action < 8 && !pending.empty()) {
-            std::size_t pick = rng() % pending.size();
-            Pending p = pending[pick];
-            pending.erase(pending.begin() + pick);
-            bool cancelled = eq.cancel(p.id);
-            if (cancelled) {
-                // Remove the single model entry carrying this token.
-                for (auto it = model.begin(); it != model.end(); ++it) {
-                    if (it->second == p.token) {
-                        model.erase(it);
-                        break;
-                    }
-                }
-                // Cancel must be single-shot even after slot reuse.
-                scheduleOne(eq.now() + rng() % 50); // likely reuses slot
-                EXPECT_FALSE(eq.cancel(p.id));
-            }
         } else {
             // Execute a few steps; each must match the model's front.
             for (int k = 0; k < 3 && !model.empty(); ++k) {
@@ -392,22 +295,6 @@ TEST(EventQueueChannel, ZeroDelayLocalFromAPostRunsBeforeTheTicksOtherPosts)
     EXPECT_EQ(order, (std::vector<int>{1, 50, 2, 3, 60, 65, 70}));
 }
 
-TEST(EventQueueChannel, CancelSkipsChannelEventAndKeepsOrder)
-{
-    EventQueue eq;
-    std::vector<int> order;
-    eq.scheduleAtChannel(10, 5, [&] { order.push_back(5); });
-    auto doomed = eq.scheduleAtChannel(10, 6, [&] { order.push_back(6); });
-    eq.scheduleAtChannel(10, 7, [&] { order.push_back(7); });
-    EXPECT_TRUE(eq.cancel(doomed));
-    EXPECT_FALSE(eq.cancel(doomed)); // ids are single-use
-
-    // The recycled slot's next occupant keeps ITS OWN key (generation
-    // tags make the old bucket entry a tombstone, not a dangling ref).
-    eq.scheduleAtChannel(10, 4, [&] { order.push_back(4); });
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{4, 5, 7}));
-}
 
 TEST(EventQueueChannel, OverflowMigrationKeepsChannelOrder)
 {
@@ -548,16 +435,6 @@ expectCaptureReleasedOnce()
     eq.run();
     EXPECT_EQ(during, 2);            // alive while running
     EXPECT_EQ(token.use_count(), 1); // released once, after running
-
-    auto id = eq.scheduleAt(10, [token, pad] {
-        ADD_FAILURE() << "cancelled event ran";
-        (void)pad;
-    });
-    EXPECT_EQ(token.use_count(), 2);
-    EXPECT_TRUE(eq.cancel(id));
-    EXPECT_EQ(token.use_count(), 1); // cancel drops the callback
-    eq.run();
-    EXPECT_EQ(token.use_count(), 1);
     EXPECT_EQ(eq.eventsExecuted(), 1u);
 }
 
@@ -567,16 +444,112 @@ TEST(EventQueueInPlace, CapturesAreReleasedExactlyOnce)
     expectCaptureReleasedOnce<256>(); // oversized: heap storage
 }
 
-TEST(EventQueueInPlace, RunningEventCannotCancelItself)
+// ---- lifetimes on failure paths --------------------------------------------
+
+/**
+ * Counts releases of a live capture; moved-from copies do not count, so
+ * a callable released exactly once adds exactly one. @p Pad bytes push
+ * the callable to heap storage.
+ */
+template <std::size_t Pad = 0>
+struct ReleaseCounter
 {
+    int *released;
+    std::array<char, Pad> pad{};
+
+    explicit ReleaseCounter(int *r) : released(r) {}
+    ReleaseCounter(ReleaseCounter &&o) noexcept
+        : released(std::exchange(o.released, nullptr)), pad(o.pad)
+    {
+    }
+    ReleaseCounter(const ReleaseCounter &) = delete;
+    ReleaseCounter &operator=(const ReleaseCounter &) = delete;
+    ReleaseCounter &operator=(ReleaseCounter &&) = delete;
+
+    ~ReleaseCounter()
+    {
+        if (released)
+            ++*released;
+    }
+};
+
+template <std::size_t Pad>
+void
+expectThrowingCallbackIsRecycled()
+{
+    // Guard check failures throw out of callbacks.
     EventQueue eq;
-    EventQueue::EventId self = 0;
-    bool result = true;
-    self = eq.scheduleAt(3, [&] { result = eq.cancel(self); });
-    eq.run();
-    EXPECT_FALSE(result);
-    EXPECT_EQ(eq.eventsExecuted(), 1u);
+    int released = 0;
+    std::vector<int> order;
+    auto thrower = [&released] {
+        return [c = ReleaseCounter<Pad>(&released)] {
+            throw std::runtime_error("check failed");
+        };
+    };
+    // The thrower is tick 5's first local; the tick's other local and
+    // its two posts (scheduled out of channel order) stay pending.
+    eq.scheduleAtChannel(5, 2, [&] { order.push_back(3); });
+    eq.scheduleAt(5, thrower());
+    eq.scheduleAtChannel(5, 1, [&] { order.push_back(2); });
+    eq.scheduleAt(5, [&] { order.push_back(1); });
+    eq.scheduleAt(6, [&] { order.push_back(4); });
+    EXPECT_THROW(eq.runUntil(tickNever), std::runtime_error);
+    EXPECT_EQ(released, 1); // destroyed once, on the way out
+    EXPECT_EQ(eq.size(), 4u);
+    EXPECT_EQ(eq.now(), 5u);
+    EXPECT_TRUE(order.empty());
+
+    // The next run resumes in (tick, key, FIFO) order.
+    eq.runUntil(tickNever);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+
+    // Each throw recycles the thrower's slot, so the arena stays flat.
+    std::size_t slots = eq.poolSlots();
+    for (int i = 0; i < 1000; ++i) {
+        eq.scheduleIn(1, thrower());
+        eq.scheduleIn(1, [&] { order.push_back(5); });
+        EXPECT_THROW(eq.runUntil(tickNever), std::runtime_error);
+        eq.runUntil(tickNever);
+    }
+    EXPECT_EQ(released, 1001);
+    EXPECT_EQ(eq.poolSlots(), slots);
+    EXPECT_EQ(order.size(), 1004u);
     EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueueLifetime, ThrowingCallbackLeavesRunUntilAndIsRecycled)
+{
+    expectThrowingCallbackIsRecycled<0>();   // inline storage
+    expectThrowingCallbackIsRecycled<256>(); // oversized: heap storage
+}
+
+TEST(EventQueueLifetime, DestroyedQueueReleasesEveryPendingCapture)
+{
+    int released = 0;
+    {
+        EventQueue eq;
+        // Executed events leave empty, recycled slots behind; those
+        // must not be released a second time.
+        eq.scheduleAt(1, [c = ReleaseCounter<>(&released)] {});
+        eq.scheduleAt(1, [c = ReleaseCounter<256>(&released)] {});
+        eq.run();
+        EXPECT_EQ(released, 2);
+
+        // Pending in the ring and in the overflow heap, stored inline
+        // and on the heap, left behind by an aborted run (the watchdog's
+        // abort path).
+        eq.scheduleAt(10, [c = ReleaseCounter<>(&released)] {});
+        eq.scheduleAtChannel(10, 3, [c = ReleaseCounter<256>(&released)] {});
+        eq.scheduleAt(100000, [c = ReleaseCounter<>(&released)] {});
+        eq.scheduleAtChannel(100000, 3,
+                             [c = ReleaseCounter<256>(&released)] {});
+        eq.scheduleAt(5, [&eq] { eq.requestAbort(); });
+        eq.run();
+        EXPECT_EQ(eq.now(), 5u);
+        EXPECT_EQ(eq.size(), 4u);
+        EXPECT_EQ(released, 2);
+    }
+    EXPECT_EQ(released, 6);
 }
 
 TEST(SmallFunction, EmplaceReplacesTheHeldCallable)
@@ -602,13 +575,12 @@ TEST(SmallFunction, EmplaceReplacesTheHeldCallable)
 /**
  * Randomized stress of the sorted tick lists: scheduleAt, channel posts
  * (few channel ids, so posts overtake and queue behind one another),
- * zero delays into the executing tick, far-future overflow events and
- * cancels, checked against an ordered (tick, class, chan, seq) model
- * (class 0 = local, 1 = channel post). cancel() must succeed exactly
- * while an event is pending, and nextEventTick() must see the model's
- * front.
+ * zero delays into the executing tick and far-future overflow events,
+ * checked against an ordered (tick, class, chan, seq) model (class 0 =
+ * local, 1 = channel post). nextEventTick() must see the model's front.
  */
-TEST(EventQueueChannel, RandomizedMixedStressMatchesReferenceModel)
+void
+mixedStressMatchesReferenceModel()
 {
     std::mt19937_64 rng(4242);
     EventQueue eq;
@@ -616,12 +588,6 @@ TEST(EventQueueChannel, RandomizedMixedStressMatchesReferenceModel)
     using Key = std::tuple<Tick, std::uint64_t, std::uint64_t,
                            std::uint64_t>; // tick, class, chan, seq
     std::map<Key, std::uint64_t> model;    // key -> token
-    struct Pending
-    {
-        EventQueue::EventId id;
-        Key key;
-    };
-    std::vector<Pending> pending;
     std::vector<std::uint64_t> executed;
     std::uint64_t nextToken = 0, seq = 0;
 
@@ -638,17 +604,15 @@ TEST(EventQueueChannel, RandomizedMixedStressMatchesReferenceModel)
         std::uint64_t token = nextToken++;
         auto fn = [&executed, token] { executed.push_back(token); };
         Key key;
-        EventQueue::EventId id;
         if (rng() % 2) {
             std::uint64_t ch = rng() % 6;
-            id = eq.scheduleAtChannel(when, ch, fn);
+            eq.scheduleAtChannel(when, ch, fn);
             key = Key{when, 1, ch, seq++};
         } else {
-            id = eq.scheduleAt(when, fn);
+            eq.scheduleAt(when, fn);
             key = Key{when, 0, 0, seq++};
         }
         model.emplace(key, token);
-        pending.push_back({id, key});
     };
     auto expectFront = [&] {
         ASSERT_FALSE(model.empty());
@@ -657,26 +621,17 @@ TEST(EventQueueChannel, RandomizedMixedStressMatchesReferenceModel)
     };
 
     for (int round = 0; round < 20000; ++round) {
-        unsigned action = unsigned(rng() % 20);
+        unsigned action = unsigned(rng() % 17);
         if (action < 11) {
             scheduleOne();
-        } else if (action < 14 && !pending.empty()) {
-            std::size_t pick = rng() % pending.size();
-            Pending p = pending[pick];
-            pending[pick] = pending.back();
-            pending.pop_back();
-            bool was_pending = model.count(p.key) == 1;
-            EXPECT_EQ(eq.cancel(p.id), was_pending);
-            model.erase(p.key);
-            EXPECT_FALSE(eq.cancel(p.id)); // single-use
-        } else if (action < 18) {
+        } else if (action < 15) {
             for (int k = 0; k < 3 && !model.empty(); ++k) {
                 std::size_t before = executed.size();
                 ASSERT_TRUE(eq.step());
                 ASSERT_EQ(executed.size(), before + 1);
                 expectFront();
             }
-        } else if (action < 19) {
+        } else if (action < 16) {
             Tick limit = eq.now() + rng() % 20;
             std::size_t before = executed.size();
             eq.runUntil(limit);
@@ -702,6 +657,29 @@ TEST(EventQueueChannel, RandomizedMixedStressMatchesReferenceModel)
     }
     EXPECT_FALSE(eq.step());
     EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueueChannel, RandomizedMixedStressMatchesReferenceModel)
+{
+    mixedStressMatchesReferenceModel();
+}
+
+TEST(EventQueueChannel, MixedStressHoldsWithCalendarOverflowDetours)
+{
+    // The cal-overflow fault sends every third event through the
+    // overflow heap, zero delays into the running tick included. Each
+    // detour must reach its tick list before any later event does, or
+    // FIFO within a key breaks.
+    struct Armed
+    {
+        Armed()
+        {
+            guard::Faults::instance().arm(
+                guard::parseFaultSpec("cal-overflow:period=3"));
+        }
+        ~Armed() { guard::Faults::instance().disarm(); }
+    } armed;
+    mixedStressMatchesReferenceModel();
 }
 
 } // namespace
