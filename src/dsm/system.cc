@@ -2,17 +2,15 @@
 
 #include <cassert>
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 
 #include "net/topo/routed_network.hh"
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
 #include "predictor/dsi.hh"
 #include "predictor/last_pc.hh"
 #include "predictor/ltp_global.hh"
 #include "predictor/ltp_per_block.hh"
-#include "sim/guard/checkers.hh"
-#include "sim/guard/fault.hh"
 #include "sim/guard/flight_recorder.hh"
 #include "sim/guard/watchdog.hh"
 #include "sim/par/parallel_scheduler.hh"
@@ -43,6 +41,27 @@ planFor(const SystemParams &params)
     in.netLookahead = networkLookahead(params.net).ticks;
     in.barrierLatency = params.barrierLatency;
     return resolveShardPlan(in);
+}
+
+/** The run's observer settings, checked against the engine @p plan. */
+ObserverConfig
+observersFor(const SystemParams &params, const ShardPlan &plan)
+{
+    ObserverConfig oc;
+    oc.trace.path = params.obs.traceFile;
+    oc.trace.categories = params.obs.tracerCategories;
+    oc.trace.eventCapPerShard = params.obs.traceEventCapPerShard;
+    oc.checkMask = params.guard.checkMask;
+    // The pairwise-FIFO check reads netSeq, which only the routed
+    // network stamps (the p2p model delivers in order by design).
+    oc.pairFifo = params.net.topology != TopologyKind::PointToPoint;
+    oc.faults = guard::parseFaultSpec(params.guard.faultSpec);
+    if (oc.faults.on(guard::FaultKind::BarrierWedge) && !plan.parallel()) {
+        throw std::invalid_argument(
+            "LTP_FAULT=barrier-wedge needs the staged parallel engine "
+            "(simThreads >= 2); this run has no window barrier");
+    }
+    return oc;
 }
 
 } // namespace
@@ -91,7 +110,8 @@ DsmSystem::DsmSystem(SystemParams params)
       plan_(planFor(params)),
       sim_(std::make_unique<ParallelScheduler>(plan_.shards,
                                                params.numNodes,
-                                               plan_.window)),
+                                               plan_.window,
+                                               observersFor(params, plan_))),
       homes_(params.pageSize, params.numNodes),
       as_(std::make_unique<AddressSpace>(homes_, params.cache.blockSize)),
       net_(makeInterconnect(*sim_, params.numNodes, params.net)),
@@ -102,12 +122,11 @@ DsmSystem::DsmSystem(SystemParams params)
     for (NodeId n = 0; n < params_.numNodes; ++n) {
         // Every component of node n runs on n's shard: its queue and
         // its shard's stat group (merged after the run).
-        EventQueue &eq = sim_->queueFor(n);
         StatGroup &stats = sim_->shardStats(sim_->shardOf(n));
         auto node = std::make_unique<DsmNode>();
         node->predictor = makePredictor();
         node->cacheCtrl = std::make_unique<CacheController>(
-            n, eq, *net_, homes_, params_.cache, stats);
+            n, *sim_, *net_, homes_, params_.cache, stats);
         node->cacheCtrl->setPredictor(node->predictor.get(), params_.mode);
         node->dirCtrl = std::make_unique<DirController>(
             n, *sim_, *net_, params_.dir, stats);
@@ -191,113 +210,58 @@ DsmSystem::run(KernelBase &kernel, const KernelConfig &cfg)
         node.task.start(&node.onDone);
     }
 
-    // Guard bring-up (src/sim/guard/): the fault injector and the
-    // invariant checkers are process-wide singletons (like the tracer),
-    // armed for exactly this run and disarmed on every exit path so a
-    // throwing checker cannot leak armed state into the next run.
-    const guard::GuardParams &gp = params_.guard;
-    struct GuardDisarm
-    {
-        bool checks = false;
-        bool faults = false;
-        bool recorder = false;
-        ~GuardDisarm()
-        {
-            if (checks)
-                guard::Checks::instance().disarm();
-            if (faults)
-                guard::Faults::instance().disarm();
-            if (recorder)
-                guard::FlightRecorder::instance().disarm();
-        }
-    } disarm;
-    if (gp.faultsEnabled()) {
-        guard::FaultPlan plan = guard::parseFaultSpec(gp.faultSpec);
-        if (plan.on(guard::FaultKind::BarrierWedge) && !plan_.parallel()) {
-            throw std::invalid_argument(
-                "LTP_FAULT=barrier-wedge needs the staged parallel engine "
-                "(simThreads >= 2); this run has no window barrier");
-        }
-        guard::Faults::instance().arm(plan);
-        disarm.faults = true;
-    }
-    if (gp.checksEnabled()) {
-        // The pairwise-FIFO check reads netSeq, which only the routed
-        // network stamps (the p2p model delivers in order by design).
-        bool pair_fifo =
-            dynamic_cast<RoutedNetwork *>(net_.get()) != nullptr;
-        guard::Checks::instance().arm(gp.checkMask, params_.numNodes,
-                                      pair_fifo);
-        disarm.checks = true;
-    }
-    if (gp.recorderEnabled()) {
-        guard::RecorderContext rc;
-        rc.tick = [this] { return sim_->tickApprox(); };
-        rc.events = [this] { return sim_->executedApprox(); };
-        rc.shards = plan_.shards;
-        if (plan_.parallel()) {
-            rc.barrierGeneration = [this] {
-                return sim_->barrier().generationValue();
-            };
-            rc.barrierArrived = [this] {
-                return sim_->barrier().arrivedCount();
-            };
-        }
-        rc.profile = [this] { return sim_->profile(); };
-        guard::FlightRecorder::instance().arm(gp.flightRecorderFile,
-                                              std::move(rc));
-        disarm.recorder = true;
-    }
-
-    // Observability bring-up, all observer-only: the tracer buffers
-    // compact records per shard (flushed to Chrome JSON after the run)
-    // and the sampler reads statistics at quiescent points. Neither
-    // schedules events or touches simulated state, so results are
-    // byte-identical with or without them.
-    if (params_.obs.traceEnabled()) {
-        obs::TraceConfig tc;
-        tc.path = params_.obs.traceFile;
-        tc.categories = params_.obs.tracerCategories;
-        tc.eventCapPerShard = params_.obs.traceEventCapPerShard;
-        std::vector<unsigned> node_shard(params_.numNodes);
-        for (NodeId n = 0; n < params_.numNodes; ++n)
-            node_shard[n] = sim_->shardOf(n);
-        obs::Tracer::instance().start(tc, node_shard);
-    }
+    // Observability bring-up, all observer-only: the engine's tracer
+    // (built with the system) buffers compact records per shard until
+    // the flush below, and the sampler reads statistics at quiescent
+    // points. Neither schedules events or touches simulated state, so
+    // results are byte-identical with or without them.
     if (params_.obs.metricsEnabled()) {
         sampler_ = std::make_unique<obs::MetricsSampler>(
             params_.obs.metricsFile, params_.obs.metricsIntervalTicks);
         sim_->setMetricsSampler(sampler_.get());
     }
 
+    // Guard bring-up (src/sim/guard/): the watchdog and the flight
+    // recorder watch the engine through one probe set; the checkers and
+    // the fault plan were built with the engine.
+    const guard::GuardParams &gp = params_.guard;
+    guard::EngineProbes probes;
+    probes.tick = [this] { return sim_->tickApprox(); };
+    probes.events = [this] { return sim_->executedApprox(); };
+    if (plan_.parallel()) {
+        probes.barrierGeneration = [this] {
+            return sim_->barrier().generationValue();
+        };
+        probes.barrierArrived = [this] {
+            return sim_->barrier().arrivedCount();
+        };
+    }
+    std::optional<guard::FlightRecorder> recorder;
+    if (gp.recorderEnabled()) {
+        auto profile = [this] { return sim_->profile(); };
+        recorder.emplace(gp.flightRecorderFile,
+                         guard::RecorderContext{probes, profile, plan_.shards,
+                                                &sim_->tracer()});
+    }
+
     {
         // The watchdog scope brackets exactly the engine run: its
         // destructor joins the monitor thread before any result is
         // collected, so nothing below races with a late detector.
-        guard::WatchdogHooks hooks;
-        hooks.tick = [this] { return sim_->tickApprox(); };
-        hooks.events = [this] { return sim_->executedApprox(); };
-        if (plan_.parallel()) {
-            hooks.barrierGeneration = [this] {
-                return sim_->barrier().generationValue();
-            };
-            hooks.barrierArrived = [this] {
-                return sim_->barrier().arrivedCount();
-            };
-        }
-        hooks.abort = [this](const std::string &reason) {
+        auto abortRun = [this](const std::string &reason) {
             sim_->requestAbort(reason);
         };
-        guard::Watchdog watchdog(gp, std::move(hooks));
+        guard::Watchdog watchdog(gp, {probes, abortRun});
 
         try {
             sim_->runUntil(params_.maxTicks);
         } catch (const std::exception &e) {
             // A checker (or anything else) threw mid-run: leave a
-            // flight record behind before the exception unwinds the
-            // harness.
-            guard::FlightRecorder::instance().dumpNow(
-                std::string("exception: ") + e.what());
+            // flight record and the trace behind before the exception
+            // unwinds the harness.
+            if (recorder)
+                recorder->dumpNow(std::string("exception: ") + e.what());
+            sim_->tracer().flush();
             throw;
         }
     }
@@ -325,10 +289,10 @@ DsmSystem::run(KernelBase &kernel, const KernelConfig &cfg)
         }
         // The clean-path flight record: the engine joined its workers
         // when runUntil() returned, so this dump is complete and
-        // race-free. It must land before Tracer::stop() below drains
+        // race-free. It must land before Tracer::flush() below drains
         // the trace buffers the dump's traceTail reads.
-        guard::FlightRecorder::instance().dumpNow("aborted: " +
-                                                  abortReason);
+        if (recorder)
+            recorder->dumpNow("aborted: " + abortReason);
     }
 
     if (sampler_) {
@@ -336,15 +300,14 @@ DsmSystem::run(KernelBase &kernel, const KernelConfig &cfg)
                          sim_->eventsExecuted());
         sim_->setMetricsSampler(nullptr);
     }
-    if (params_.obs.traceEnabled())
-        obs::Tracer::instance().stop();
+    sim_->tracer().flush();
 
     RunResult r = collect(completed);
     if (completed) {
         // Quiesce invariants only make sense on a drained machine; an
         // aborted run legitimately has messages in flight and busy
         // directory entries.
-        if (disarm.checks)
+        if (gp.checksEnabled())
             guardQuiesceChecks();
     } else {
         r.outcome = RunOutcome::Aborted;
@@ -356,10 +319,11 @@ DsmSystem::run(KernelBase &kernel, const KernelConfig &cfg)
 void
 DsmSystem::guardQuiesceChecks() const
 {
-    if (guard::Checks::on(obs::Cat::Message))
-        guard::Checks::instance().checkMessageConservation();
+    guard::Checks &checks = sim_->checks();
+    if (checks.on(obs::Cat::Message))
+        checks.checkMessageConservation();
 
-    if (guard::Checks::on(obs::Cat::Link)) {
+    if (checks.on(obs::Cat::Link)) {
         if (auto *rn = dynamic_cast<RoutedNetwork *>(net_.get()))
             rn->guardCheckQuiesce();
     }
@@ -368,7 +332,7 @@ DsmSystem::guardQuiesceChecks() const
     // owner to an Exclusive copy, nothing still busy. Valid at quiesce
     // because evictions and self-invalidations all notify home
     // (EvictS/EvictX, SelfInvS/SelfInvX).
-    if (guard::Checks::on(obs::Cat::Directory)) {
+    if (checks.on(obs::Cat::Directory)) {
         for (NodeId h = 0; h < params_.numNodes; ++h) {
             nodes_[h]->dirCtrl->directory().forEach([&](Addr blk,
                                                         const DirEntry &e) {
@@ -418,7 +382,7 @@ DsmSystem::guardQuiesceChecks() const
     // Cache -> directory: every resident line is backed by the home's
     // bookkeeping (the converse direction catches a directory that
     // dropped a copy it should still track).
-    if (guard::Checks::on(obs::Cat::Cache)) {
+    if (checks.on(obs::Cat::Cache)) {
         for (NodeId n = 0; n < params_.numNodes; ++n) {
             nodes_[n]->cacheCtrl->cache().forEachResident(
                 [&](Addr blk, const CacheLine &line) {

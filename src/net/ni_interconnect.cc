@@ -2,9 +2,6 @@
 
 #include <cassert>
 
-#include "obs/trace.hh"
-#include "sim/guard/checkers.hh"
-
 namespace ltp
 {
 
@@ -46,14 +43,14 @@ NiInterconnect::injectLocalOrCount(Message &msg)
     assert(msg.src < sinks_.size() && msg.dst < sinks_.size());
     EventQueue &eq = q(msg.src);
     msg.injectedAt = eq.now();
-    obs::Tracer::instant(obs::Cat::Message, msg.src, "inject", eq.now(),
-                         msg.dst, std::uint64_t(msg.type));
+    sched_.tracer().instant(obs::Cat::Message, msg.src, "inject", eq.now(),
+                            msg.dst, std::uint64_t(msg.type));
     unsigned shard = sched_.shardOf(msg.src);
     msgsSent_[shard]->inc();
     if (carriesData(msg.type))
         dataMsgs_[shard]->inc();
-    if (guard::Checks::on(obs::Cat::Message))
-        guard::Checks::instance().countInject();
+    if (sched_.checks().on(obs::Cat::Message))
+        sched_.checks().countInject();
 
     if (msg.src != msg.dst)
         return false;
@@ -114,14 +111,14 @@ NiInterconnect::deliver(MsgHandle h)
     Tick lat = q(msg.dst).now() - msg.injectedAt;
     // The end-to-end message-lifecycle span, named by type, on the
     // destination node's track: inject -> (NI, flight, hops) -> deliver.
-    obs::Tracer::span(obs::Cat::Message, msg.dst, msgTypeName(msg.type),
-                      msg.injectedAt, q(msg.dst).now(), msg.src, msg.dst);
+    sched_.tracer().span(obs::Cat::Message, msg.dst, msgTypeName(msg.type),
+                         msg.injectedAt, q(msg.dst).now(), msg.src, msg.dst);
     unsigned shard = sched_.shardOf(msg.dst);
     endToEndLatency_[shard]->sample(double(lat));
     latencyHist_[shard]->sample(double(lat));
-    if (guard::Checks::on(obs::Cat::Message))
-        guard::Checks::instance().countDeliver(msg.src, msg.dst,
-                                               msg.netSeq, q(msg.dst).now());
+    if (sched_.checks().on(obs::Cat::Message))
+        sched_.checks().countDeliver(msg.src, msg.dst, msg.netSeq,
+                                     q(msg.dst).now());
     sinks_[msg.dst](msg);
     pool_.free(h, shard);
 }

@@ -283,8 +283,9 @@ RoutedNetwork::drainLink(std::size_t l)
                      std::deque<Entry>::difference_type(blocked));
         const Message &msg = pool().at(e.h);
         escapeReroutes_[sched().shardOf(link.from)]->inc();
-        obs::Tracer::instant(obs::Cat::Link, link.from, "escape reroute",
-                             q(link.from).now(), msg.dst);
+        sched().tracer().instant(obs::Cat::Link, link.from,
+                                 "escape reroute", q(link.from).now(),
+                                 msg.dst);
         NodeId dor = geom_.nextHop(link.from, msg.dst);
         e.vc = escapeVc(link.from, dor, msg);
         std::size_t el = routeLink(link.from, dor);
@@ -320,21 +321,21 @@ RoutedNetwork::grantAt(std::size_t l, Entry e, Tick start)
 
     Message &msg = pool().at(e.h);
     Tick ser = serializationTicks(msg);
-    if (guard::Faults::on(guard::FaultKind::LinkStall)) {
+    const guard::FaultPlan &faults = sched().faults();
+    if (faults.on(guard::FaultKind::LinkStall)) {
         // Deterministic jitter: a pure hash of (seed, link, grant
         // index). The grant sequence on a link is itself deterministic
         // and shard-count invariant, so fault-injected runs stay
         // bit-reproducible at every simThreads value.
-        ser += guard::Faults::instance().linkStallTicks(l,
-                                                        link.faultGrants++);
+        ser += faults.linkStallTicks(l, link.faultGrants++);
     }
     link.msgs->inc();
     link.busyCycles->inc(ser);
     hops_[sched().shardOf(link.from)]->inc();
     // The wire-busy span on the upstream router's track: one grant =
     // one serialization window on link from->to via the allocated VC.
-    obs::Tracer::span(obs::Cat::Link, link.from, "grant", start,
-                      start + ser, link.to, e.vc);
+    sched().tracer().span(obs::Cat::Link, link.from, "grant", start,
+                          start + ser, link.to, e.vc);
 
     // The in-flight message has exactly one logical owner (this grant),
     // so the dateline stamp mutates it in place.
@@ -376,7 +377,7 @@ RoutedNetwork::scheduleCreditReturn(std::size_t l, std::uint8_t vc,
         ++link.credits[vc];
         assert(link.credits[vc] <= params_.vcDepth &&
                "credit conservation violated");
-        if (guard::Checks::on(obs::Cat::Link) &&
+        if (sched().checks().on(obs::Cat::Link) &&
             link.credits[vc] > params_.vcDepth) {
             // The assert's always-on twin: catches credit over-return
             // in Release builds the moment it happens.

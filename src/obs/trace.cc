@@ -5,20 +5,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <numeric>
 
 namespace ltp
 {
 namespace obs
 {
 
-std::atomic<std::uint32_t> Tracer::activeMask_{0};
-
 namespace
 {
-
-/** The calling thread's shard buffer index; rebound by bindThread(). */
-thread_local unsigned tlsTraceShard = 0;
 
 std::string
 substitutePid(std::string path)
@@ -31,54 +25,27 @@ substitutePid(std::string path)
 
 } // namespace
 
-Tracer &
-Tracer::instance()
+Tracer::Tracer(const TraceConfig &config, std::vector<unsigned> node_shard)
 {
-    static Tracer tracer;
-    return tracer;
-}
-
-void
-Tracer::bindThread(unsigned shard)
-{
-    tlsTraceShard = shard;
-}
-
-unsigned
-Tracer::boundShard()
-{
-    return tlsTraceShard;
-}
-
-void
-Tracer::start(const TraceConfig &config,
-              const std::vector<unsigned> &node_shard)
-{
-    if (active())
-        stop();
     if (config.path.empty())
         return;
-
     config_ = config;
-    nodeShard_ = node_shard;
+    nodeShard_ = std::move(node_shard);
     unsigned shards = 1;
     for (unsigned s : nodeShard_)
         shards = std::max(shards, s + 1);
-    buffers_.clear();
     for (unsigned s = 0; s < shards; ++s)
         buffers_.push_back(std::make_unique<ShardBuf>());
-    lastDropped_ = 0;
-    activeMask_.store(config_.categories & allCatsMask,
-                      std::memory_order_relaxed);
+    mask_ = config_.categories & allCatsMask;
 }
 
 void
 Tracer::record(Cat c, bool span, std::uint32_t node, const char *name,
                Tick ts, Tick dur, std::uint64_t a0, std::uint64_t a1)
 {
-    unsigned shard = tlsTraceShard;
-    if (shard >= buffers_.size())
-        shard = 0;
+    // Single writer per buffer: engine records name their shard, and a
+    // node's records come from events on that node's shard.
+    unsigned shard = c == Cat::Engine ? node : nodeShard_[node];
     ShardBuf &buf = *buffers_[shard];
     if (buf.count >= config_.eventCapPerShard) {
         ++buf.dropped;
@@ -102,21 +69,21 @@ Tracer::record(Cat c, bool span, std::uint32_t node, const char *name,
 }
 
 void
-Tracer::stop()
+Tracer::flush()
 {
-    if (!active())
+    if (buffers_.empty())
         return;
-    activeMask_.store(0, std::memory_order_relaxed);
+    mask_ = 0;
 
     std::vector<Rec> recs;
-    lastDropped_ = 0;
+    std::uint64_t dropped = 0;
     for (auto &buf : buffers_) {
         recs.reserve(recs.size() + buf->count);
         Rec rec;
         while (buf->ring.tryPop(rec))
             recs.push_back(rec);
         recs.insert(recs.end(), buf->spill.begin(), buf->spill.end());
-        lastDropped_ += buf->dropped;
+        dropped += buf->dropped;
     }
     unsigned shards = unsigned(buffers_.size());
     buffers_.clear();
@@ -135,7 +102,7 @@ Tracer::stop()
     };
 
     out << "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped\":"
-        << lastDropped_ << "},\"traceEvents\":[\n";
+        << dropped << "},\"traceEvents\":[\n";
     bool first = true;
     auto comma = [&] {
         if (!first)
@@ -191,51 +158,47 @@ Tracer::stop()
     out << "\n]}\n";
 }
 
-std::uint64_t
-Tracer::droppedRecords() const
+std::size_t
+Tracer::tail(Rec *out, std::size_t max) const
 {
-    std::uint64_t dropped = lastDropped_;
-    for (const auto &buf : buffers_)
-        dropped += buf->dropped;
-    return dropped;
-}
-
-std::uint64_t
-Tracer::bufferedRecords() const
-{
-    std::uint64_t count = 0;
-    for (const auto &buf : buffers_)
-        count += buf->count;
-    return count;
-}
-
-std::vector<Tracer::Rec>
-Tracer::tailRecords(std::size_t max_records) const
-{
-    std::vector<Rec> recs;
+    // Of each shard's newest @p max records, keep the newest @p max by
+    // timestamp, equal timestamps in gathering order (a stable sort's
+    // tail). @p out stays sorted as records arrive: each goes after
+    // every equal-timestamp one already there, and once @p out is full
+    // its oldest drops out.
+    std::size_t n = 0;
+    auto insert = [&](const Rec &rec) {
+        std::size_t pos = n;
+        while (pos > 0 && out[pos - 1].ts > rec.ts)
+            --pos;
+        if (n < max) {
+            for (std::size_t i = n; i > pos; --i)
+                out[i] = out[i - 1];
+            out[pos] = rec;
+            ++n;
+        } else if (pos > 0) {
+            for (std::size_t i = 0; i + 1 < pos; ++i)
+                out[i] = out[i + 1];
+            out[pos - 1] = rec;
+        }
+    };
     for (const auto &buf : buffers_) {
         // Per-shard emit order is ring first, then spill (the lane
-        // idiom keeps that FIFO); walk each source from its newest end,
-        // at most max_records per shard — the global sort below trims
-        // the merged set.
-        std::size_t want = max_records;
+        // idiom keeps that FIFO); walk each source from its newest end.
+        std::size_t want = max;
         const std::vector<Rec> &spill = buf->spill;
         for (std::size_t i = spill.size(); i > 0 && want; --i, --want)
-            recs.push_back(spill[i - 1]);
+            insert(spill[i - 1]);
         // The ring is never popped while a run is active, so its live
         // sequence range is exactly [0, rawTail) and rawTail never
         // exceeds the ring capacity.
         for (std::size_t seq = buf->ring.rawTail(); seq > 0 && want;
              --seq, --want) {
             if (const Rec *rec = buf->ring.rawSlot(seq - 1))
-                recs.push_back(*rec);
+                insert(*rec);
         }
     }
-    std::stable_sort(recs.begin(), recs.end(),
-                     [](const Rec &a, const Rec &b) { return a.ts < b.ts; });
-    if (recs.size() > max_records)
-        recs.erase(recs.begin(), recs.end() - std::ptrdiff_t(max_records));
-    return recs;
+    return n;
 }
 
 } // namespace obs

@@ -11,14 +11,12 @@
  *    state, so every golden output and statistics dump is byte-identical
  *    with tracing on or off, at every shard count.
  *
- *  - The disabled fast path is one load + test of a cached bitmask
- *    (Tracer::on()); call sites compile to a predictable untaken branch.
- *    Defining LTP_OBS_DISABLE_TRACE removes even that: every emit
- *    helper becomes an empty inline function.
+ *  - The disabled fast path is one load + test of the tracer's own
+ *    category mask (Tracer::on()); call sites compile to a predictable
+ *    untaken branch.
  *
- *  - The enabled path is wait-free per record: each simulation worker
- *    thread owns one buffer (the parallel engine binds its shard index
- *    through bindThread()), built from the mailbox-lane idiom of
+ *  - The enabled path is wait-free per record: each shard owns one
+ *    buffer, built from the mailbox-lane idiom of
  *    src/sim/par/spsc_ring.hh — a fixed SPSC ring absorbs the common
  *    case, a spill vector absorbs bursts, and once a buffer spills it
  *    keeps spilling so ring-then-spill drain order stays FIFO. A hard
@@ -27,21 +25,23 @@
  *
  * Track model: pid = simulated node (process track), tid = executing
  * shard (thread track), exactly as the parallel engine partitions work.
- * Engine-internal events (windows, barrier waits, mailbox spills) have
- * no node; they ride synthetic "engine shard S" processes at
- * pid = enginePidBase + shard. Timestamps are simulated ticks written
- * as trace microseconds: 1 us in the viewer == 1 simulated cycle.
+ * A node's records are emitted by events on that node's shard, so each
+ * record goes to its node's shard buffer (single writer) by the node ->
+ * shard map. Engine-internal events (windows, barrier waits, mailbox
+ * spills) have no node; they pass their shard explicitly and ride
+ * synthetic "engine shard S" processes at pid = enginePidBase + shard.
+ * Timestamps are simulated ticks written as trace microseconds: 1 us in
+ * the viewer == 1 simulated cycle.
  *
- * The tracer is a process-wide singleton:
- * components emit without threading a pointer through every
- * constructor, and exactly one traced run is active at a time (a second
- * start() flushes and restarts).
+ * One Tracer traces one run. The engine (ParallelScheduler) owns it,
+ * built from the run's TraceConfig, and every component emits through
+ * the scheduler it is built on; DsmSystem::run() flushes it once when
+ * the run ends. Runs in one process never share a tracer.
  */
 
 #ifndef LTP_OBS_TRACE_HH
 #define LTP_OBS_TRACE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -77,108 +77,62 @@ struct TraceConfig
 class Tracer
 {
   public:
-    /** The process-wide tracer. */
-    static Tracer &instance();
+    /**
+     * Trace a run whose node -> shard map is @p node_shard: one record
+     * buffer per shard, the configured categories enabled. An empty
+     * @p config.path leaves the tracer disabled: every hook is then one
+     * load and an untaken branch.
+     */
+    Tracer(const TraceConfig &config, std::vector<unsigned> node_shard);
+
+    Tracer(const Tracer &) = delete;
+    Tracer &operator=(const Tracer &) = delete;
 
     /** True when category @p c is being traced (the hot-path guard). */
-    static bool
-    on(Cat c)
-    {
-#ifdef LTP_OBS_DISABLE_TRACE
-        (void)c;
-        return false;
-#else
-        return (activeMask_.load(std::memory_order_relaxed) &
-                catBit(c)) != 0;
-#endif
-    }
-
-    /**
-     * Begin a traced run: allocate @p shards record buffers, remember
-     * the node -> shard map (@p node_shard) for track metadata, and
-     * enable the configured categories. Flushes any still-active trace
-     * first. No-op when @p config.path is empty.
-     */
-    void start(const TraceConfig &config,
-               const std::vector<unsigned> &node_shard);
-
-    /** End the run: drain every buffer to the JSON file, disable. */
-    void stop();
-
-    /**
-     * Bind the calling thread to shard @p shard's buffer. The parallel
-     * engine calls this as each worker starts; single-threaded runs
-     * write through the default binding (shard 0).
-     */
-    static void bindThread(unsigned shard);
+    bool on(Cat c) const { return (mask_ & catBit(c)) != 0; }
 
     /** A span [@p start, @p end] on node @p node's track. */
-    static void
+    void
     span(Cat c, std::uint32_t node, const char *name, Tick start, Tick end,
          std::uint64_t a0 = 0, std::uint64_t a1 = 0)
     {
-#ifndef LTP_OBS_DISABLE_TRACE
         if (on(c))
-            instance().record(c, /*span=*/true, node, name, start,
-                              end - start, a0, a1);
-#else
-        (void)c; (void)node; (void)name; (void)start; (void)end;
-        (void)a0; (void)a1;
-#endif
+            record(c, /*span=*/true, node, name, start, end - start, a0, a1);
     }
 
     /** An instant at @p ts on node @p node's track. */
-    static void
+    void
     instant(Cat c, std::uint32_t node, const char *name, Tick ts,
             std::uint64_t a0 = 0, std::uint64_t a1 = 0)
     {
-#ifndef LTP_OBS_DISABLE_TRACE
         if (on(c))
-            instance().record(c, /*span=*/false, node, name, ts, 0, a0, a1);
-#else
-        (void)c; (void)node; (void)name; (void)ts; (void)a0; (void)a1;
-#endif
+            record(c, /*span=*/false, node, name, ts, 0, a0, a1);
     }
-
-    /** Shard the calling thread is bound to (bindThread; default 0). */
-    static unsigned boundShard();
 
     /**
-     * Engine-track span/instant: Cat::Engine on the calling thread's
-     * own shard track (the shard id rides the node field — see
-     * enginePidBase).
+     * Engine-track span/instant: Cat::Engine on shard @p shard's own
+     * track (the shard id rides the node field — see enginePidBase).
      */
-    static void
-    engineSpan(const char *name, Tick start, Tick end,
+    void
+    engineSpan(unsigned shard, const char *name, Tick start, Tick end,
                std::uint64_t a0 = 0, std::uint64_t a1 = 0)
     {
-#ifndef LTP_OBS_DISABLE_TRACE
-        if (on(Cat::Engine))
-            span(Cat::Engine, boundShard(), name, start, end, a0, a1);
-#else
-        (void)name; (void)start; (void)end; (void)a0; (void)a1;
-#endif
+        span(Cat::Engine, shard, name, start, end, a0, a1);
     }
 
-    static void
-    engineInstant(const char *name, Tick ts, std::uint64_t a0 = 0,
-                  std::uint64_t a1 = 0)
+    void
+    engineInstant(unsigned shard, const char *name, Tick ts,
+                  std::uint64_t a0 = 0, std::uint64_t a1 = 0)
     {
-#ifndef LTP_OBS_DISABLE_TRACE
-        if (on(Cat::Engine))
-            instant(Cat::Engine, boundShard(), name, ts, a0, a1);
-#else
-        (void)name; (void)ts; (void)a0; (void)a1;
-#endif
+        instant(Cat::Engine, shard, name, ts, a0, a1);
     }
 
-    /** Records dropped over the per-shard cap in the last/current run. */
-    std::uint64_t droppedRecords() const;
-
-    /** Records currently buffered (tests). */
-    std::uint64_t bufferedRecords() const;
-
-    bool active() const { return !buffers_.empty(); }
+    /**
+     * End the trace: drain every buffer to the JSON file and disable.
+     * Call once the run's workers have joined. Later calls, and calls
+     * on a disabled tracer, do nothing.
+     */
+    void flush();
 
     /**
      * One buffered trace record. `name` must point at storage that
@@ -198,15 +152,16 @@ class Tracer
     };
 
     /**
-     * The newest (by timestamp) @p max_records buffered records without
-     * consuming them, oldest first — the crash flight recorder's view
-     * of "what just happened". Race-free after the run's workers have
-     * joined (the clean abort path); from a crash signal handler it is
-     * best-effort by contract: the rings are read non-destructively via
-     * their raw slots and a record being written concurrently may come
-     * back torn.
+     * Copy the newest (by timestamp) buffered records, at most @p max,
+     * into @p out without consuming them, oldest first, and return how
+     * many — the crash flight recorder's view of "what just happened".
+     * Allocation-free, so a crash signal handler may call it. Race-free
+     * after the run's workers have joined (the clean abort path); from
+     * a signal handler it is best-effort by contract: the rings are
+     * read non-destructively via their raw slots and a record being
+     * written concurrently may come back torn.
      */
-    std::vector<Rec> tailRecords(std::size_t max_records) const;
+    std::size_t tail(Rec *out, std::size_t max) const;
 
   private:
     static constexpr std::size_t ringCapacity = 4096;
@@ -224,23 +179,18 @@ class Tracer
         std::size_t count = 0;
     };
 
-    Tracer() = default;
-
     void record(Cat c, bool span, std::uint32_t node, const char *name,
                 Tick ts, Tick dur, std::uint64_t a0, std::uint64_t a1);
 
     /**
-     * The guard every emit helper reads; nonzero only while a traced
-     * run is active. Atomic because persistent engine workers may
-     * exist across start()/stop(); relaxed is enough — buffer
-     * visibility is ordered by the engine's own run barriers.
+     * The guard every emit helper reads; nonzero only while the trace
+     * is live. Set before the run's workers start and cleared by
+     * flush() after they joined, so a plain member suffices.
      */
-    static std::atomic<std::uint32_t> activeMask_;
-
+    std::uint32_t mask_ = 0;
     TraceConfig config_;
     std::vector<unsigned> nodeShard_;
     std::vector<std::unique_ptr<ShardBuf>> buffers_;
-    std::uint64_t lastDropped_ = 0;
 };
 
 } // namespace obs

@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "obs/trace.hh"
-
 namespace ltp
 {
 
@@ -13,11 +11,12 @@ namespace
 constexpr std::uint64_t noVersion = ~std::uint64_t(0);
 } // namespace
 
-CacheController::CacheController(NodeId node, EventQueue &eq,
+CacheController::CacheController(NodeId node, ParallelScheduler &sched,
                                  Interconnect &net, const HomeMap &homes,
                                  CacheParams params, StatGroup &stats)
     : node_(node),
-      eq_(eq),
+      sched_(sched),
+      eq_(sched.queueFor(node)),
       net_(net),
       homes_(homes),
       params_(params),
@@ -120,8 +119,8 @@ CacheController::handleData(const Message &msg)
     Addr blk = msg.addr;
     if (msg.verification == Verification::Premature) {
         predMispredicted_.inc();
-        obs::Tracer::instant(obs::Cat::Predictor, node_, "mispredict",
-                             eq_.now(), blk);
+        sched_.tracer().instant(obs::Cat::Predictor, node_, "mispredict",
+                                eq_.now(), blk);
         if (pred_)
             pred_->onVerification(blk, /*premature=*/true);
     }
@@ -209,8 +208,8 @@ CacheController::externalInvalidation(Addr blk)
     if (mode_ == PredictorMode::Passive && pendingPred_.count(blk)) {
         // The predictor had called this trace's last touch: correct.
         predPredicted_.inc();
-        obs::Tracer::instant(obs::Cat::Predictor, node_, "verify",
-                             eq_.now(), blk);
+        sched_.tracer().instant(obs::Cat::Predictor, node_, "verify",
+                                eq_.now(), blk);
         pendingPred_.erase(blk);
         if (pred_)
             pred_->onVerification(blk, /*premature=*/false);
@@ -234,8 +233,8 @@ CacheController::afterTouch(Addr blk, Pc pc, bool is_write, bool fill)
         // self-invalidated block. Score the misprediction and restart
         // the trace as the re-fetch would have.
         predMispredicted_.inc();
-        obs::Tracer::instant(obs::Cat::Predictor, node_, "mispredict",
-                             eq_.now(), blk);
+        sched_.tracer().instant(obs::Cat::Predictor, node_, "mispredict",
+                                eq_.now(), blk);
         pendingPred_.erase(blk);
         pred_->onVerification(blk, /*premature=*/true);
         fill = true;
@@ -244,8 +243,8 @@ CacheController::afterTouch(Addr blk, Pc pc, bool is_write, bool fill)
     bool last_touch = pred_->onTouch(blk, pc, is_write, fill);
     if (!last_touch)
         return;
-    obs::Tracer::instant(obs::Cat::Predictor, node_, "predict", eq_.now(),
-                         blk);
+    sched_.tracer().instant(obs::Cat::Predictor, node_, "predict", eq_.now(),
+                            blk);
     if (mode_ == PredictorMode::Passive) {
         pendingPred_.insert(blk);
     } else {
@@ -261,8 +260,8 @@ CacheController::requestSelfInvalidate(Addr blk)
         return;
     if (out_.valid && out_.blk == blk)
         return; // a demand transaction for this block is in flight
-    obs::Tracer::instant(obs::Cat::Predictor, node_, "predict", eq_.now(),
-                         blk);
+    sched_.tracer().instant(obs::Cat::Predictor, node_, "predict", eq_.now(),
+                            blk);
     if (mode_ == PredictorMode::Passive) {
         pendingPred_.insert(blk);
     } else if (mode_ == PredictorMode::Active) {
@@ -284,8 +283,8 @@ CacheController::selfInvalidate(Addr blk)
     msg.addr = blk;
     cache_.invalidate(blk);
     selfInvsIssued_.inc();
-    obs::Tracer::instant(obs::Cat::Predictor, node_, "self-invalidate",
-                         eq_.now(), blk);
+    sched_.tracer().instant(obs::Cat::Predictor, node_, "self-invalidate",
+                            eq_.now(), blk);
     send(msg, params_.ctrlOverhead);
 }
 
@@ -306,8 +305,8 @@ CacheController::onDirVerify(Addr blk, bool premature, bool timely)
         // A correct self-invalidation stands in for the invalidation the
         // directory no longer needs to send.
         predPredicted_.inc();
-        obs::Tracer::instant(obs::Cat::Predictor, node_, "verify",
-                             eq_.now(), blk);
+        sched_.tracer().instant(obs::Cat::Predictor, node_, "verify",
+                                eq_.now(), blk);
         invalidationsSeen_.inc();
         if (pred_)
             pred_->onVerification(blk, /*premature=*/false);

@@ -30,6 +30,7 @@
 #include "predictor/invalidation_predictor.hh"
 #include "sim/event_queue.hh"
 #include "sim/flat_map.hh"
+#include "sim/par/parallel_scheduler.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -67,9 +68,10 @@ class CacheController : public SelfInvalidationPort
     /** Completion callback: (latency, was_miss). */
     using AccessDone = std::function<void(Tick, bool)>;
 
-    CacheController(NodeId node, EventQueue &eq, Interconnect &net,
-                    const HomeMap &homes, CacheParams params,
-                    StatGroup &stats);
+    /** Runs on @p sched's queue for @p node. */
+    CacheController(NodeId node, ParallelScheduler &sched,
+                    Interconnect &net, const HomeMap &homes,
+                    CacheParams params, StatGroup &stats);
 
     /** Attach a predictor (not owned). */
     void setPredictor(InvalidationPredictor *pred, PredictorMode mode);
@@ -133,6 +135,7 @@ class CacheController : public SelfInvalidationPort
     void send(Message msg, Tick delay);
 
     NodeId node_;
+    ParallelScheduler &sched_;
     EventQueue &eq_;
     Interconnect &net_;
     const HomeMap &homes_;

@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "obs/trace.hh"
-
 namespace ltp
 {
 
@@ -72,9 +70,9 @@ DirController::engineKick()
     service_.sample(double(latency));
     // One directory transaction: arrival through queueing and service,
     // named by the message that drove it, requester in a0.
-    obs::Tracer::span(obs::Cat::Directory, node_, msgTypeName(q.msg.type),
-                      q.arrival, eq_.now() + latency, q.msg.src,
-                      q.msg.addr);
+    sched_.tracer().span(obs::Cat::Directory, node_,
+                         msgTypeName(q.msg.type), q.arrival,
+                         eq_.now() + latency, q.msg.src, q.msg.addr);
 
     Tick occupancy = params_.pipelined ? std::max<Tick>(latency / 2, 1)
                                        : std::max<Tick>(latency, 1);

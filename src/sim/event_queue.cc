@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "sim/guard/fault.hh"
-
 namespace ltp
 {
 
@@ -24,8 +22,7 @@ EventQueue::enqueue(Slot *s, Tick when, std::uint64_t key)
     std::uint64_t seq = nextSeq_++;
 
     bool force_overflow =
-        guard::Faults::on(guard::FaultKind::CalendarOverflow) &&
-        guard::Faults::instance().calendarOverflowHit(nextSeq_);
+        calOverflowPeriod_ && nextSeq_ % calOverflowPeriod_ == 0;
     if (when - now_ < window && !force_overflow) {
         pushBucket(s);
     } else {

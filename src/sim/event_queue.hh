@@ -94,7 +94,15 @@ class EventQueue
   public:
     using Callback = SmallFunction;
 
-    EventQueue() = default;
+    /**
+     * @param cal_overflow_period the cal-overflow fault (guard/fault.hh):
+     *        every period-th schedule detours through the overflow heap.
+     *        0 = off.
+     */
+    explicit EventQueue(std::uint64_t cal_overflow_period = 0)
+        : calOverflowPeriod_(cal_overflow_period)
+    {
+    }
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
@@ -361,6 +369,7 @@ class EventQueue
     std::uint64_t executed_ = 0;
 
     std::uint64_t overflowMigrations_ = 0;
+    const std::uint64_t calOverflowPeriod_;
 
     /** Events between progress-mirror publishes (power of two). */
     static constexpr std::uint64_t beatPeriod = 4096;

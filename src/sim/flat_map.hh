@@ -126,14 +126,14 @@ class FlatMap
     V *
     find(const K &key)
     {
-        std::size_t idx;
+        std::size_t idx = 0;
         return probe(key, idx) ? &slotAt(idx).val : nullptr;
     }
 
     const V *
     find(const K &key) const
     {
-        std::size_t idx;
+        std::size_t idx = 0;
         return probe(key, idx) ? &slotAt(idx).val : nullptr;
     }
 
@@ -144,7 +144,7 @@ class FlatMap
     V &
     operator[](const K &key)
     {
-        std::size_t idx;
+        std::size_t idx = 0;
         if (capacity_ && probe(key, idx))
             return slotAt(idx).val; // hit: no rehash, references stay valid
         reserveForInsert(key, idx);
@@ -162,7 +162,7 @@ class FlatMap
     V &
     insert(const K &key, VV &&value)
     {
-        std::size_t idx;
+        std::size_t idx = 0;
         if (capacity_ && probe(key, idx)) {
             slotAt(idx).val = std::forward<VV>(value);
         } else {

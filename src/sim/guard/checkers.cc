@@ -5,33 +5,12 @@ namespace ltp
 namespace guard
 {
 
-std::atomic<std::uint32_t> Checks::mask_{0};
-
-Checks &
-Checks::instance()
+Checks::Checks(std::uint32_t mask, NodeId num_nodes, bool pair_fifo)
+    : mask_(mask),
+      numNodes_(num_nodes),
+      pairFifo_(pair_fifo && on(obs::Cat::Message)),
+      nextSeq_(pairFifo_ ? std::size_t(num_nodes) * num_nodes : 0, 0)
 {
-    static Checks c;
-    return c;
-}
-
-void
-Checks::arm(std::uint32_t mask, NodeId num_nodes, bool pair_fifo)
-{
-    numNodes_ = num_nodes;
-    pairFifo_ = pair_fifo;
-    injected_.store(0, std::memory_order_relaxed);
-    delivered_.store(0, std::memory_order_relaxed);
-    nextSeq_.assign(pair_fifo ? std::size_t(num_nodes) * num_nodes : 0, 0);
-    mask_.store(mask, std::memory_order_release);
-}
-
-void
-Checks::disarm()
-{
-    mask_.store(0, std::memory_order_release);
-    nextSeq_.clear();
-    numNodes_ = 0;
-    pairFifo_ = false;
 }
 
 void

@@ -24,11 +24,12 @@
  * throws CheckFailure with full context — the run fails loudly at the
  * first corrupt state instead of three goldens later.
  *
- * Checks is a process-wide singleton armed per run by DsmSystem (the
- * obs::Tracer pattern); the disarmed fast path is one relaxed atomic
- * load. Hot-path counters are relaxed atomics: shards count injections
- * and deliveries concurrently, and the totals are only compared at
- * quiesce, after the engine joined its workers.
+ * One Checks object guards one run: the engine (ParallelScheduler)
+ * owns it, built from the run's check mask, and components reach it
+ * through the scheduler. A category left off costs one load and a
+ * branch per hook. Hot-path counters are relaxed atomics: shards count
+ * injections and deliveries concurrently, and the totals are only
+ * compared at quiesce, after the engine joined its workers.
  */
 
 #ifndef LTP_SIM_GUARD_CHECKERS_HH
@@ -58,27 +59,23 @@ class CheckFailure : public std::runtime_error
     }
 };
 
-/** Process-wide invariant-checker switchboard and counters. */
+/** One run's invariant-checker switchboard and counters. */
 class Checks
 {
   public:
-    static Checks &instance();
-
     /**
-     * Arm the checkers in @p mask (obs category bits) for a run over
-     * @p num_nodes nodes. @p pair_fifo additionally arms the per-pair
-     * delivery-order check (routed topologies only: the p2p model does
-     * not stamp netSeq).
+     * The checkers in @p mask (obs category bits) for a run over
+     * @p num_nodes nodes. @p pair_fifo adds the per-pair delivery-order
+     * check (routed topologies only: the p2p model does not stamp
+     * netSeq).
      */
-    void arm(std::uint32_t mask, NodeId num_nodes, bool pair_fifo);
-    void disarm();
+    Checks(std::uint32_t mask, NodeId num_nodes, bool pair_fifo);
 
-    /** Fast path: is category @p c armed? One relaxed atomic load. */
-    static bool
-    on(obs::Cat c)
-    {
-        return mask_.load(std::memory_order_relaxed) & obs::catBit(c);
-    }
+    Checks(const Checks &) = delete;
+    Checks &operator=(const Checks &) = delete;
+
+    /** Fast path: is category @p c checked? */
+    bool on(obs::Cat c) const { return mask_ & obs::catBit(c); }
 
     /** Hot hook: a message entered the network (any topology). */
     void
@@ -89,7 +86,7 @@ class Checks
 
     /**
      * Hot hook: a message reached its destination sink. Also enforces
-     * pairwise FIFO when armed: the routed network stamps netSeq per
+     * pairwise FIFO when enabled: the routed network stamps netSeq per
      * (src, dst) from 0, so delivery order on a pair must be exactly
      * 0, 1, 2, ... — anything else means the ingress reorder buffer
      * let a message overtake. Runs on dst's shard; each pair slot has
@@ -118,10 +115,7 @@ class Checks
     void checkMessageConservation() const;
 
   private:
-    Checks() = default;
-
-    static std::atomic<std::uint32_t> mask_;
-
+    std::uint32_t mask_ = 0;
     NodeId numNodes_ = 0;
     bool pairFifo_ = false;
     std::atomic<std::uint64_t> injected_{0};

@@ -147,39 +147,16 @@ parseFaultSpec(const std::string &spec)
     return plan;
 }
 
-std::atomic<std::uint32_t> Faults::mask_{0};
-
-Faults &
-Faults::instance()
-{
-    static Faults f;
-    return f;
-}
-
-void
-Faults::arm(const FaultPlan &plan)
-{
-    plan_ = plan;
-    mask_.store(plan.mask, std::memory_order_release);
-}
-
-void
-Faults::disarm()
-{
-    mask_.store(0, std::memory_order_release);
-    plan_ = FaultPlan{};
-}
-
 Tick
-Faults::linkStallTicks(std::uint64_t site, std::uint64_t counter) const
+FaultPlan::linkStallTicks(std::uint64_t site, std::uint64_t counter) const
 {
-    std::uint64_t h = siteHash(plan_.linkStallSeed, site, counter);
-    if (unitInterval(h) >= plan_.linkStallP)
+    std::uint64_t h = siteHash(linkStallSeed, site, counter);
+    if (unitInterval(h) >= linkStallP)
         return 0;
     // Second, independent draw for the stall length.
-    std::uint64_t h2 = siteHash(plan_.linkStallSeed ^ 0xa5a5a5a5a5a5a5a5ull,
-                                site, counter);
-    return Tick(1 + h2 % plan_.linkStallExtra);
+    std::uint64_t h2 =
+        siteHash(linkStallSeed ^ 0xa5a5a5a5a5a5a5a5ull, site, counter);
+    return Tick(1 + h2 % linkStallExtra);
 }
 
 } // namespace guard

@@ -33,14 +33,16 @@
  *       at the given window round until the run is aborted. Requires
  *       >= 2 shards; used to prove the watchdog fires.
  *
- * Faults is a process-wide singleton armed per run by DsmSystem (like
- * obs::Tracer); the disarmed fast path is one relaxed atomic load.
+ * A FaultPlan is one run's faults: the engine (ParallelScheduler) owns
+ * it, parsed from SystemParams::guard when the DsmSystem is built, and
+ * each site reaches it through the scheduler (the event queues get
+ * their cal-overflow period at construction). A kind left off costs
+ * one load and a branch per site.
  */
 
 #ifndef LTP_SIM_GUARD_FAULT_HH
 #define LTP_SIM_GUARD_FAULT_HH
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -66,10 +68,10 @@ faultBit(FaultKind k)
     return 1u << unsigned(k);
 }
 
-/** Parsed LTP_FAULT spec. */
+/** Parsed LTP_FAULT spec: one run's fault decisions. */
 struct FaultPlan
 {
-    std::uint32_t mask = 0; //!< faultBit() mask of armed kinds
+    std::uint32_t mask = 0; //!< faultBit() mask of enabled kinds
 
     // link-stall
     double linkStallP = 0.01;        //!< per-grant stall probability
@@ -84,36 +86,6 @@ struct FaultPlan
     unsigned wedgeShard = 1;       //!< shard that wedges
 
     bool on(FaultKind k) const { return mask & faultBit(k); }
-};
-
-/**
- * Parse an LTP_FAULT spec. Throws std::invalid_argument naming the
- * offending token on an unknown kind, unknown key, or bad value.
- */
-FaultPlan parseFaultSpec(const std::string &spec);
-
-/**
- * Process-wide fault-injection switchboard. At most one armed run at a
- * time (same contract as obs::Tracer).
- */
-class Faults
-{
-  public:
-    static Faults &instance();
-
-    /** Arm @p plan for the coming run. */
-    void arm(const FaultPlan &plan);
-    /** Disarm all faults (end of run). */
-    void disarm();
-
-    /** Fast path: is @p k armed? One relaxed atomic load. */
-    static bool
-    on(FaultKind k)
-    {
-        return mask_.load(std::memory_order_relaxed) & faultBit(k);
-    }
-
-    const FaultPlan &plan() const { return plan_; }
 
     /**
      * link-stall decision for site @p site (link index) at its
@@ -122,27 +94,26 @@ class Faults
      */
     Tick linkStallTicks(std::uint64_t site, std::uint64_t counter) const;
 
-    /** cal-overflow decision for a site's @p counter-th schedule. */
-    bool
-    calendarOverflowHit(std::uint64_t counter) const
+    /** The event queues' cal-overflow period: 0 when the kind is off. */
+    std::uint64_t
+    calendarOverflowPeriod() const
     {
-        return plan_.calOverflowPeriod <= 1 ||
-               counter % plan_.calOverflowPeriod == 0;
+        return on(FaultKind::CalendarOverflow) ? calOverflowPeriod : 0;
     }
 
     /** barrier-wedge decision for @p shard entering window @p round. */
     bool
     wedgeHit(unsigned shard, std::uint64_t round) const
     {
-        return shard == plan_.wedgeShard && round >= plan_.wedgeRound;
+        return shard == wedgeShard && round >= wedgeRound;
     }
-
-  private:
-    Faults() = default;
-
-    static std::atomic<std::uint32_t> mask_;
-    FaultPlan plan_;
 };
+
+/**
+ * Parse an LTP_FAULT spec. Throws std::invalid_argument naming the
+ * offending token on an unknown kind, unknown key, or bad value.
+ */
+FaultPlan parseFaultSpec(const std::string &spec);
 
 } // namespace guard
 } // namespace ltp

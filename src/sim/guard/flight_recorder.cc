@@ -9,10 +9,10 @@
 #include <cstdio>
 #include <cstring>
 #include <mutex>
+#include <string>
 
 #include "obs/categories.hh"
 #include "obs/trace.hh"
-#include "sim/guard/watchdog.hh"
 
 namespace ltp
 {
@@ -22,17 +22,14 @@ namespace guard
 namespace
 {
 
-constexpr std::size_t maxPath = 512;
 constexpr std::size_t tailRecordCount = 256;
 
-// Global recorder state: signal handlers have no argument channel.
-// gArmed is the handler's only gate; gPath/gCtx are written under gMu
-// strictly before arming and after disarming, so the armed handler
-// reads stable values.
-std::atomic<bool> gArmed{false};
-char gPath[maxPath] = {0};
-RecorderContext gCtx;
-std::mutex gMu;
+// The crash handler's table of live recorders: signal handlers have no
+// argument channel. A recorder takes a free slot for its lifetime.
+// Beyond maxLive concurrent runs a recorder still dumps on the clean
+// path, just not on a crash.
+constexpr std::size_t maxLive = 64;
+std::atomic<FlightRecorder *> gLive[maxLive];
 std::once_flag gInstallOnce;
 
 /** printf straight to @p fd (no stdio stream, signal-path friendly). */
@@ -88,17 +85,52 @@ signalName(int sig)
     return "signal";
 }
 
+std::string
+substitutePid(std::string path)
+{
+    std::size_t at = path.find("%p");
+    if (at != std::string::npos)
+        path.replace(at, 2, std::to_string(::getpid()));
+    return path;
+}
+
+} // namespace
+
+FlightRecorder::FlightRecorder(const std::string &path, RecorderContext ctx)
+    : ctx_(std::move(ctx))
+{
+    std::snprintf(path_, sizeof(path_), "%s", substitutePid(path).c_str());
+    std::call_once(gInstallOnce, installHandlers);
+    for (auto &slot : gLive) {
+        FlightRecorder *free_slot = nullptr;
+        if (slot.compare_exchange_strong(free_slot, this))
+            break;
+    }
+}
+
+FlightRecorder::~FlightRecorder()
+{
+    for (auto &slot : gLive) {
+        FlightRecorder *self = this;
+        if (slot.compare_exchange_strong(self, nullptr))
+            break;
+    }
+}
+
+bool
+FlightRecorder::dumpNow(const std::string &reason)
+{
+    return write(reason.c_str(), 0);
+}
+
 /**
- * The dump itself. @p sig is 0 on the clean path. Returns false when
- * the file could not be opened. The crash path runs this on a dying
- * process — every read is best-effort by contract (see header).
+ * The crash path runs this on a dying process — every read is
+ * best-effort by contract (see header), and nothing here allocates.
  */
 bool
-writeDump(const char *reason, int sig)
+FlightRecorder::write(const char *reason, int sig)
 {
-    if (!gArmed.load(std::memory_order_acquire))
-        return false;
-    int fd = ::open(gPath, O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    int fd = ::open(path_, O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd < 0)
         return false;
 
@@ -112,29 +144,29 @@ writeDump(const char *reason, int sig)
         fdPrintf(fd, "  \"signal\": null,\n");
     }
 
-    unsigned long long tick = gCtx.tick ? (unsigned long long)gCtx.tick()
+    unsigned long long tick = ctx_.tick ? (unsigned long long)ctx_.tick()
                                         : 0;
     unsigned long long events =
-        gCtx.events ? (unsigned long long)gCtx.events() : 0;
+        ctx_.events ? (unsigned long long)ctx_.events() : 0;
     fdPrintf(fd,
              "  \"tick\": %llu,\n  \"events\": %llu,\n"
              "  \"shards\": %u,\n  \"rssMb\": %llu,\n",
-             tick, events, gCtx.shards,
+             tick, events, ctx_.shards,
              (unsigned long long)currentRssMb());
 
-    if (gCtx.barrierGeneration && gCtx.barrierArrived) {
+    if (ctx_.barrierGeneration && ctx_.barrierArrived) {
         fdPrintf(fd,
                  "  \"barrier\": {\"generation\": %lu, \"arrived\": %u},\n",
-                 (unsigned long)gCtx.barrierGeneration(),
-                 gCtx.barrierArrived());
+                 (unsigned long)ctx_.barrierGeneration(),
+                 ctx_.barrierArrived());
     } else {
         fdPrintf(fd, "  \"barrier\": null,\n");
     }
 
     // The profile hook takes the scheduler's profile lock — fine after
     // the workers joined, a potential deadlock on the crash path.
-    if (!sig && gCtx.profile) {
-        obs::EngineProfile p = gCtx.profile();
+    if (!sig && ctx_.profile) {
+        obs::EngineProfile p = ctx_.profile();
         fdPrintf(fd,
                  "  \"profile\": {\"rounds\": %llu, \"windowTicks\": %llu, "
                  "\"barrierParks\": %llu, \"barrierWaitNs\": %llu, "
@@ -150,9 +182,12 @@ writeDump(const char *reason, int sig)
     }
 
     fdPrintf(fd, "  \"traceTail\": [");
+    obs::Tracer::Rec tail[tailRecordCount];
+    std::size_t n = ctx_.tracer ? ctx_.tracer->tail(tail, tailRecordCount)
+                                : 0;
     const char *sep = "\n    ";
-    for (const obs::Tracer::Rec &rec :
-         obs::Tracer::instance().tailRecords(tailRecordCount)) {
+    for (std::size_t i = 0; i < n; ++i) {
+        const obs::Tracer::Rec &rec = tail[i];
         char name[160];
         escapeJson(rec.name ? rec.name : "", name, sizeof(name));
         fdPrintf(fd,
@@ -172,22 +207,26 @@ writeDump(const char *reason, int sig)
 }
 
 void
-crashHandler(int sig)
+FlightRecorder::crashHandler(int sig)
 {
-    // SA_RESETHAND restored SIG_DFL on entry; one dump attempt, then
-    // re-raise so the default disposition (core, nonzero exit) happens.
+    // SA_RESETHAND restored SIG_DFL on entry; one dump attempt per live
+    // recorder, then re-raise so the default disposition (core, nonzero
+    // exit) happens.
     static std::atomic<bool> dumping{false};
     if (!dumping.exchange(true)) {
         char reason[64];
         std::snprintf(reason, sizeof(reason), "crash: %s",
                       signalName(sig));
-        writeDump(reason, sig);
+        for (auto &slot : gLive) {
+            if (FlightRecorder *rec = slot.load())
+                rec->write(reason, sig);
+        }
     }
     ::raise(sig);
 }
 
 void
-installHandlers()
+FlightRecorder::installHandlers()
 {
     struct sigaction sa;
     std::memset(&sa, 0, sizeof(sa));
@@ -196,64 +235,6 @@ installHandlers()
     sigemptyset(&sa.sa_mask);
     for (int sig : {SIGSEGV, SIGBUS, SIGFPE, SIGABRT})
         ::sigaction(sig, &sa, nullptr);
-}
-
-std::string
-substitutePid(std::string path)
-{
-    std::size_t at = path.find("%p");
-    if (at != std::string::npos)
-        path.replace(at, 2, std::to_string(::getpid()));
-    return path;
-}
-
-} // namespace
-
-FlightRecorder &
-FlightRecorder::instance()
-{
-    static FlightRecorder recorder;
-    return recorder;
-}
-
-void
-FlightRecorder::arm(const std::string &path, RecorderContext ctx)
-{
-    std::lock_guard<std::mutex> g(gMu);
-    gArmed.store(false, std::memory_order_release);
-    std::string resolved = substitutePid(path);
-    std::snprintf(gPath, sizeof(gPath), "%s", resolved.c_str());
-    gCtx = std::move(ctx);
-    std::call_once(gInstallOnce, installHandlers);
-    gArmed.store(true, std::memory_order_release);
-}
-
-void
-FlightRecorder::disarm()
-{
-    std::lock_guard<std::mutex> g(gMu);
-    gArmed.store(false, std::memory_order_release);
-    gCtx = RecorderContext{};
-}
-
-bool
-FlightRecorder::armed() const
-{
-    return gArmed.load(std::memory_order_acquire);
-}
-
-bool
-FlightRecorder::dumpNow(const std::string &reason)
-{
-    std::lock_guard<std::mutex> g(gMu);
-    return writeDump(reason.c_str(), 0);
-}
-
-std::string
-FlightRecorder::resolvedPath() const
-{
-    std::lock_guard<std::mutex> g(gMu);
-    return std::string(gPath);
 }
 
 } // namespace guard

@@ -10,17 +10,19 @@
  *    checker) aborted the run and the engine joined its workers. The
  *    buffers are quiescent, so this dump is complete and race-free.
  *
- *  - Crash: arm() installs SIGSEGV/SIGBUS/SIGFPE/SIGABRT handlers (the
- *    last also catching assert()), so even a wild pointer or a failed
- *    assertion leaves a dump behind. This path is best-effort by
- *    contract: it runs on a dying process, reads the trace rings
- *    non-destructively while writers may still be mid-record, and then
- *    re-raises the signal so the default disposition (core dump,
- *    nonzero exit) still happens.
+ *  - Crash: the first recorder installs SIGSEGV/SIGBUS/SIGFPE/SIGABRT
+ *    handlers (the last also catching assert()), so even a wild pointer
+ *    or a failed assertion leaves a dump behind. This path is
+ *    best-effort by contract: it runs on a dying process, reads the
+ *    trace rings non-destructively while writers may still be
+ *    mid-record, and then re-raises the signal so the default
+ *    disposition (core dump, nonzero exit) still happens. It allocates
+ *    nothing, so a crash inside malloc still leaves a dump.
  *
- * The recorder is a process-wide singleton (the obs::Tracer pattern):
- * signal handlers have no argument channel, so the armed state must be
- * globally reachable. At most one armed run at a time.
+ * A recorder is an RAII object scoped to one DsmSystem::run(). Signal
+ * handlers have no argument channel, so every live recorder sits in a
+ * small fixed table that the handler walks without locks: a crash
+ * dumps every run in flight, each to its own path.
  */
 
 #ifndef LTP_SIM_GUARD_FLIGHT_RECORDER_HH
@@ -31,61 +33,59 @@
 #include <string>
 
 #include "obs/engine_profile.hh"
+#include "sim/guard/watchdog.hh"
 #include "sim/types.hh"
 
 namespace ltp
 {
+namespace obs
+{
+class Tracer;
+} // namespace obs
+
 namespace guard
 {
 
-/**
- * How the recorder observes the run. Every hook must be safe to call
- * from another thread while shards run (atomic reads only) — the crash
- * path calls them from a signal handler on whatever thread faulted.
- */
-struct RecorderContext
+/** How the recorder observes the run, beyond the engine probes. */
+struct RecorderContext : EngineProbes
 {
-    std::function<Tick()> tick;            //!< tickApprox()
-    std::function<std::uint64_t()> events; //!< executedApprox()
-    /** Barrier generation word; unset on barrier-less engines. */
-    std::function<std::uint32_t()> barrierGeneration;
-    /** Barrier pending-arrival count (paired with barrierGeneration). */
-    std::function<unsigned()> barrierArrived;
     /** Engine self-profile; clean path only (locks internally). */
     std::function<obs::EngineProfile()> profile;
     unsigned shards = 1;
+    /** The run's tracer, for the trace tail; null = no tail. */
+    const obs::Tracer *tracer = nullptr;
 };
 
 class FlightRecorder
 {
   public:
-    static FlightRecorder &instance();
-
     /**
-     * Arm the recorder: remember @p path ("%p" expands to the pid) and
-     * @p ctx, and install the crash signal handlers (first arm() only;
-     * they stay installed but do nothing while disarmed).
+     * Record one run to @p path ("%p" expands to the pid) until
+     * destroyed, observing it through @p ctx. The first recorder
+     * installs the crash signal handlers; they stay installed.
      */
-    void arm(const std::string &path, RecorderContext ctx);
+    FlightRecorder(const std::string &path, RecorderContext ctx);
+    ~FlightRecorder();
 
-    /** Disarm (end of run). Leaves any written dump file in place. */
-    void disarm();
-
-    bool armed() const;
+    FlightRecorder(const FlightRecorder &) = delete;
+    FlightRecorder &operator=(const FlightRecorder &) = delete;
 
     /**
      * Clean-path dump: write the flight-record JSON with @p reason.
      * Call after the engine joined its workers (buffers quiescent).
-     * @return false when the recorder is disarmed or the file cannot
-     * be written.
+     * @return false when the file cannot be written.
      */
     bool dumpNow(const std::string &reason);
 
-    /** The path the last arm() resolved (pid substituted; tests). */
-    std::string resolvedPath() const;
-
   private:
-    FlightRecorder() = default;
+    /** The dump itself; @p sig is 0 on the clean path. */
+    bool write(const char *reason, int sig);
+
+    static void crashHandler(int sig);
+    static void installHandlers();
+
+    char path_[512] = {0};
+    RecorderContext ctx_;
 };
 
 } // namespace guard

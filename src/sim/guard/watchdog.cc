@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
+#include <cstring>
 
 #if defined(__linux__)
+#include <fcntl.h>
 #include <unistd.h>
 #endif
 
@@ -17,15 +18,23 @@ std::uint64_t
 currentRssMb()
 {
 #if defined(__linux__)
-    // statm field 2: resident pages. Cheap enough to poll.
-    std::FILE *f = std::fopen("/proc/self/statm", "r");
-    if (!f)
+    // statm field 2: resident pages. Cheap enough to poll; parsed by
+    // hand because stdio allocates.
+    int fd = ::open("/proc/self/statm", O_RDONLY);
+    if (fd < 0)
         return 0;
-    unsigned long long size = 0, resident = 0;
-    int n = std::fscanf(f, "%llu %llu", &size, &resident);
-    std::fclose(f);
-    if (n != 2)
+    char buf[128];
+    ssize_t n = ::read(fd, buf, sizeof(buf) - 1);
+    ::close(fd);
+    if (n <= 0)
         return 0;
+    buf[n] = '\0';
+    const char *p = std::strchr(buf, ' '); // past field 1, total size
+    if (!p)
+        return 0;
+    std::uint64_t resident = 0;
+    for (++p; *p >= '0' && *p <= '9'; ++p)
+        resident = resident * 10 + std::uint64_t(*p - '0');
     return resident * std::uint64_t(sysconf(_SC_PAGESIZE)) / (1024 * 1024);
 #else
     return 0;

@@ -42,9 +42,13 @@ namespace ltp
 namespace guard
 {
 
-/** How the watchdog observes the engine. All hooks must be safe to
- *  call from the monitor thread while shards run (atomic reads only). */
-struct WatchdogHooks
+/**
+ * How the guards (the watchdog and the flight recorder) observe a
+ * running engine. Every probe must be safe to call from another thread
+ * while shards run (atomic reads only) — the crash path calls them from
+ * a signal handler on whatever thread faulted.
+ */
+struct EngineProbes
 {
     std::function<Tick()> tick;                 //!< tickApprox()
     std::function<std::uint64_t()> events;      //!< executedApprox()
@@ -52,11 +56,20 @@ struct WatchdogHooks
     std::function<std::uint32_t()> barrierGeneration;
     /** Barrier pending-arrival count (paired with barrierGeneration). */
     std::function<unsigned()> barrierArrived;
+};
+
+/** How the watchdog observes and stops the engine. */
+struct WatchdogHooks : EngineProbes
+{
     /** Abort the run with a structured reason (requestAbort). */
     std::function<void(const std::string &)> abort;
 };
 
-/** Current resident-set size in MiB (0 when unavailable). */
+/**
+ * Current resident-set size in MiB (0 when unavailable). Reads
+ * /proc/self/statm with plain syscalls and no allocation, so the crash
+ * flight recorder may call it from a signal handler.
+ */
 std::uint64_t currentRssMb();
 
 class Watchdog

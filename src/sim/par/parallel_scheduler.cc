@@ -6,8 +6,6 @@
 #include <thread>
 
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
-#include "sim/guard/fault.hh"
 
 namespace ltp
 {
@@ -22,26 +20,43 @@ namespace
  */
 thread_local unsigned tlsShard = 0;
 
+/**
+ * Node -> shard map. Contiguous blocks: neighbors (and mesh rows) tend
+ * to share a shard, which keeps cross-shard traffic low on local
+ * topologies.
+ */
+std::vector<unsigned>
+partition(unsigned shards, NodeId num_nodes)
+{
+    std::vector<unsigned> shard(num_nodes);
+    for (NodeId n = 0; n < num_nodes; ++n)
+        shard[n] = unsigned((std::uint64_t(n) * shards) / num_nodes);
+    return shard;
+}
+
 } // namespace
 
 ParallelScheduler::ParallelScheduler(unsigned shards, NodeId num_nodes,
-                                     Tick window)
-    : shard_(num_nodes), window_(window), barrier_(shards)
+                                     Tick window,
+                                     const ObserverConfig &observers)
+    : shard_(partition(shards, num_nodes)),
+      window_(window),
+      tracer_(observers.trace, shard_),
+      checks_(observers.checkMask, num_nodes, observers.pairFifo),
+      faults_(observers.faults),
+      barrier_(shards)
 {
     assert(shards >= 1 && shards <= num_nodes);
     assert(window >= 1 && "conservative window needs lookahead");
 
     parts_.reserve(shards);
     for (unsigned s = 0; s < shards; ++s) {
-        auto p = std::make_unique<Partition>();
+        auto p = std::make_unique<Partition>(
+            faults_.calendarOverflowPeriod());
         if (shards > 1)
             p->out = std::vector<Lane>(shards);
         parts_.push_back(std::move(p));
     }
-    // Contiguous blocks: neighbors (and mesh rows) tend to share a
-    // shard, which keeps cross-shard traffic low on local topologies.
-    for (NodeId n = 0; n < num_nodes; ++n)
-        shard_[n] = unsigned((std::uint64_t(n) * shards) / num_nodes);
 }
 
 ParallelScheduler::~ParallelScheduler() = default;
@@ -59,10 +74,10 @@ ParallelScheduler::postStaged(NodeId dst, Tick when, std::uint64_t chan,
     unsigned from = tlsShard;
     unsigned to = shard_[dst];
     assert(from < parts_.size());
-    bool storm = guard::Faults::on(guard::FaultKind::SpillStorm);
+    bool storm = faults_.on(guard::FaultKind::SpillStorm);
     if (parts_[from]->out[to].push(PostItem{when, chan, std::move(cb)},
                                    storm))
-        obs::Tracer::engineInstant("mailbox spill", when, to);
+        tracer_.engineInstant(from, "mailbox spill", when, to);
 }
 
 void
@@ -131,15 +146,14 @@ ParallelScheduler::workerLoop(unsigned shard, Tick limit)
     };
 
     tlsShard = shard;
-    obs::Tracer::bindThread(shard);
     Partition &p = *parts_[shard];
     std::uint64_t iter = 0;
     for (;; ++iter) {
         applyInbox(shard);
         p.nextTick.store(p.eq.nextEventTick(), std::memory_order_relaxed);
 
-        if (guard::Faults::on(guard::FaultKind::BarrierWedge) &&
-            guard::Faults::instance().wedgeHit(shard, iter)) {
+        if (faults_.on(guard::FaultKind::BarrierWedge) &&
+            faults_.wedgeHit(shard, iter)) {
             // Induced wedge: this shard stops arriving at the barrier,
             // which freezes every other shard mid-round — exactly the
             // failure the watchdog's barrier-stall detector exists for.
@@ -159,12 +173,12 @@ ParallelScheduler::workerLoop(unsigned shard, Tick limit)
 
         Tick wStart = windowStart_.load(std::memory_order_relaxed);
         Tick wEnd = windowEnd_.load(std::memory_order_relaxed);
-        if (obs::Tracer::on(obs::Cat::Engine)) {
+        if (tracer_.on(obs::Cat::Engine)) {
             if (parked)
-                obs::Tracer::engineInstant("barrier park", wStart,
-                                           ns(t0, t1));
-            obs::Tracer::engineSpan("window", wStart, wEnd + 1,
-                                    wEnd - wStart + 1);
+                tracer_.engineInstant(shard, "barrier park", wStart,
+                                      ns(t0, t1));
+            tracer_.engineSpan(shard, "window", wStart, wEnd + 1,
+                               wEnd - wStart + 1);
         }
 
         try {
@@ -180,8 +194,8 @@ ParallelScheduler::workerLoop(unsigned shard, Tick limit)
         parked = barrier_.arriveAndWait();
         auto t3 = Clock::now();
         p.barrierWaitNs += ns(t2, t3);
-        if (parked && obs::Tracer::on(obs::Cat::Engine))
-            obs::Tracer::engineInstant("barrier park", wEnd, ns(t2, t3));
+        if (parked)
+            tracer_.engineInstant(shard, "barrier park", wEnd, ns(t2, t3));
     }
 }
 

@@ -26,6 +26,13 @@
  *    deterministic: independent of thread timing, of the shard count
  *    and of the window width.
  *
+ * The engine also owns its run's observers, built from ObserverConfig
+ * at construction: the tracer (tracer()), the invariant checkers
+ * (checks()) and the fault plan (faults()). Components reach them
+ * through the scheduler they are built on, so a run's whole state is
+ * its scheduler and the components on it, and runs in one process
+ * never share an observer.
+ *
  * Nodes are split into S contiguous partitions, each owning a private
  * EventQueue and StatGroup. Same-tick order is the queue's own rule
  * (see EventQueue, "Same-tick order"): a tick's local events first,
@@ -79,7 +86,10 @@
 #include <vector>
 
 #include "obs/engine_profile.hh"
+#include "obs/trace.hh"
 #include "sim/event_queue.hh"
+#include "sim/guard/checkers.hh"
+#include "sim/guard/fault.hh"
 #include "sim/par/spsc_ring.hh"
 #include "sim/par/window_barrier.hh"
 #include "sim/stats.hh"
@@ -146,6 +156,19 @@ namespace obs
 class MetricsSampler;
 } // namespace obs
 
+/**
+ * Settings of the run's observers, which the engine owns: the tracer,
+ * the invariant checkers and the fault plan. The default is all off.
+ */
+struct ObserverConfig
+{
+    obs::TraceConfig trace;      //!< an empty path traces nothing
+    std::uint32_t checkMask = 0; //!< guard::Checks categories
+    /** Check per-pair delivery order (only routed networks stamp it). */
+    bool pairFifo = false;
+    guard::FaultPlan faults;
+};
+
 /** The engine (see file comment). */
 class ParallelScheduler final
 {
@@ -160,8 +183,10 @@ class ParallelScheduler final
      * @param window   conservative lookahead L in ticks (>= 1); every
      *                 post() must land at least this far after its
      *                 posting event.
+     * @param observers the run's tracer, checkers and faults.
      */
-    ParallelScheduler(unsigned shards, NodeId num_nodes, Tick window);
+    ParallelScheduler(unsigned shards, NodeId num_nodes, Tick window,
+                      const ObserverConfig &observers = {});
     ~ParallelScheduler();
 
     /** Number of partitions events are sharded over. */
@@ -172,6 +197,13 @@ class ParallelScheduler final
     EventQueue &queueFor(NodeId node) { return parts_[shard_[node]]->eq; }
     /** Statistics registry of partition @p shard. */
     StatGroup &shardStats(unsigned shard) { return parts_[shard]->stats; }
+
+    /** The run's tracer; flushed by its owner once the run ends. */
+    obs::Tracer &tracer() { return tracer_; }
+    /** The run's invariant checkers. */
+    guard::Checks &checks() { return checks_; }
+    /** The run's fault plan. */
+    const guard::FaultPlan &faults() const { return faults_; }
 
     /**
      * Schedule @p f at absolute tick @p when on @p dst's queue, from an
@@ -302,6 +334,11 @@ class ParallelScheduler final
 
     struct Partition
     {
+        explicit Partition(std::uint64_t cal_overflow_period)
+            : eq(cal_overflow_period)
+        {
+        }
+
         EventQueue eq;
         StatGroup stats;
         /** Outgoing mail, one lane per destination shard. */
@@ -329,6 +366,10 @@ class ParallelScheduler final
     std::vector<std::unique_ptr<Partition>> parts_;
     std::vector<unsigned> shard_; //!< node -> shard
     Tick window_;
+
+    obs::Tracer tracer_;
+    guard::Checks checks_;
+    guard::FaultPlan faults_;
 
     WindowBarrier barrier_;
     std::atomic<Tick> windowStart_{0};

@@ -4,8 +4,9 @@
  * regression (a fault-injected barrier wedge must be caught by the
  * watchdog within its budget, with a flight record left behind), the
  * observer-only contract of the invariant checkers, the shard-count
- * invariance of deterministic fault injection, and the structured
- * abort outcomes for budget violations.
+ * invariance of deterministic fault injection, the structured abort
+ * outcomes for budget violations, and two observed runs side by side
+ * in one process.
  */
 
 #include <gtest/gtest.h>
@@ -15,8 +16,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <latch>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "dsm/system.hh"
 #include "kernel/kernels.hh"
@@ -214,6 +217,110 @@ TEST(GuardIntegration, MaxTicksReportsAbortedOutcome)
     EXPECT_EQ(r.outcome, RunOutcome::Aborted);
     EXPECT_NE(r.abortReason.find("maxTicks exceeded"), std::string::npos)
         << r.abortReason;
+}
+
+/** What one 16-node mesh run leaves behind. */
+struct MeshRun
+{
+    std::string dump;  //!< full canonical stats dump
+    std::string error; //!< what went wrong; empty for a completed run
+};
+
+/**
+ * Build and run @p kernel_name on a 16-node mesh at one shard with
+ * @p obs_params and @p guard_params. With @p ready set, the built
+ * system waits there before its run, so two threads run together.
+ */
+MeshRun
+runMesh16(const std::string &kernel_name, const obs::ObsParams &obs_params,
+          const guard::GuardParams &guard_params,
+          std::latch *ready = nullptr)
+{
+    MeshRun out;
+    bool arrived = false;
+    try {
+        SystemParams sp;
+        sp.numNodes = 16;
+        sp.net.topology = TopologyKind::Mesh2D;
+        sp.obs = obs_params;
+        sp.guard = guard_params;
+        DsmSystem sys(sp);
+        auto kernel = makeKernel(kernel_name);
+        KernelConfig cfg = defaultConfig(kernel_name);
+        cfg.nodes = sp.numNodes;
+        if (ready) {
+            ready->arrive_and_wait();
+            arrived = true;
+        }
+        RunResult r = sys.run(*kernel, cfg);
+        if (!r.completed)
+            out.error = r.abortReason;
+        std::ostringstream oss;
+        sys.stats().dump(oss);
+        out.dump = oss.str();
+    } catch (const std::exception &e) {
+        out.error = e.what();
+    }
+    if (ready && !arrived)
+        ready->count_down();
+    return out;
+}
+
+/**
+ * Two runs side by side in one process: each run owns its tracer,
+ * checkers, fault plan and flight recorder, so neither sees the other.
+ * Run A traces, checks everything and detours every third event through
+ * the calendar overflow heap; run B observes nothing but keeps a flight
+ * recorder. Each must match its solo run byte for byte (one shard has
+ * no host-timed trace records), and neither recorder may dump.
+ */
+TEST(GuardIntegration, TwoRunsAtOnceKeepTheirObserversApart)
+{
+    const char *tmpdir = std::getenv("TMPDIR");
+    std::string dir = std::string(tmpdir ? tmpdir : "/tmp");
+    std::string soloTrace = dir + "/ltp_two_runs_trace_solo.json";
+    std::string sideTrace = dir + "/ltp_two_runs_trace_side.json";
+
+    obs::ObsParams traced;
+    guard::GuardParams checked;
+    checked.checkMask = obs::allCatsMask;
+    checked.faultSpec = "cal-overflow:period=3";
+    checked.flightRecorderFile = dir + "/ltp_two_runs_fr_a.json";
+    guard::GuardParams quiet;
+    quiet.flightRecorderFile = dir + "/ltp_two_runs_fr_b.json";
+    for (const std::string &f :
+         {soloTrace, sideTrace, checked.flightRecorderFile,
+          quiet.flightRecorderFile})
+        std::remove(f.c_str());
+
+    traced.traceFile = soloTrace;
+    MeshRun soloA = runMesh16("em3d", traced, checked);
+    MeshRun soloB = runMesh16("ocean", obs::ObsParams{}, quiet);
+    ASSERT_EQ(soloA.error, "");
+    ASSERT_EQ(soloB.error, "");
+    std::string expectTrace = slurp(soloTrace);
+    ASSERT_NE(expectTrace.find("\"cat\":\"message\""), std::string::npos);
+
+    traced.traceFile = sideTrace;
+    std::latch ready(2);
+    MeshRun a, b;
+    std::thread runA(
+        [&] { a = runMesh16("em3d", traced, checked, &ready); });
+    std::thread runB(
+        [&] { b = runMesh16("ocean", obs::ObsParams{}, quiet, &ready); });
+    runA.join();
+    runB.join();
+
+    EXPECT_EQ(a.error, "");
+    EXPECT_EQ(b.error, "");
+    EXPECT_TRUE(a.dump == soloA.dump) << "run A's stats moved";
+    EXPECT_TRUE(b.dump == soloB.dump) << "run B's stats moved";
+    EXPECT_TRUE(slurp(sideTrace) == expectTrace)
+        << "run A's trace differs from its solo trace";
+    EXPECT_FALSE(std::ifstream(checked.flightRecorderFile).good());
+    EXPECT_FALSE(std::ifstream(quiet.flightRecorderFile).good());
+    std::remove(soloTrace.c_str());
+    std::remove(sideTrace.c_str());
 }
 
 } // namespace

@@ -40,7 +40,7 @@ class SyncTest : public ::testing::Test
         sync_ = std::make_unique<SyncDomain>(sched_, kNodes, 200);
         for (NodeId n = 0; n < kNodes; ++n) {
             caches_.push_back(std::make_unique<CacheController>(
-                n, eq_, *net_, homes_, CacheParams{}, stats_));
+                n, sched_, *net_, homes_, CacheParams{}, stats_));
             dirs_.push_back(std::make_unique<DirController>(
                 n, sched_, *net_, DirParams{}, stats_));
             threads_.push_back(std::make_unique<ThreadCtx>(

@@ -35,7 +35,7 @@ class ProtocolTest : public ::testing::Test
         net_ = std::make_unique<Network>(sched_, kNodes, NetworkParams{});
         for (NodeId n = 0; n < kNodes; ++n) {
             caches_.push_back(std::make_unique<CacheController>(
-                n, eq_, *net_, homes_, CacheParams{}, stats_));
+                n, sched_, *net_, homes_, CacheParams{}, stats_));
             dirs_.push_back(std::make_unique<DirController>(
                 n, sched_, *net_, DirParams{}, stats_));
         }

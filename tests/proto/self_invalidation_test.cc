@@ -69,7 +69,7 @@ class SelfInvTest : public ::testing::Test
         for (NodeId n = 0; n < kNodes; ++n) {
             preds_.push_back(std::make_unique<ScriptedPredictor>());
             caches_.push_back(std::make_unique<CacheController>(
-                n, eq_, *net_, homes_, CacheParams{}, stats_));
+                n, sched_, *net_, homes_, CacheParams{}, stats_));
             caches_[n]->setPredictor(preds_[n].get(),
                                      PredictorMode::Active);
             dirs_.push_back(std::make_unique<DirController>(

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
-#include "sim/guard/fault.hh"
 #include "sim/par/parallel_scheduler.hh"
 #include "sim/small_function.hh"
 
@@ -578,12 +577,13 @@ TEST(SmallFunction, EmplaceReplacesTheHeldCallable)
  * zero delays into the executing tick and far-future overflow events,
  * checked against an ordered (tick, class, chan, seq) model (class 0 =
  * local, 1 = channel post). nextEventTick() must see the model's front.
+ * @p cal_overflow_period arms the queue's cal-overflow fault.
  */
 void
-mixedStressMatchesReferenceModel()
+mixedStressMatchesReferenceModel(std::uint64_t cal_overflow_period = 0)
 {
     std::mt19937_64 rng(4242);
-    EventQueue eq;
+    EventQueue eq(cal_overflow_period);
 
     using Key = std::tuple<Tick, std::uint64_t, std::uint64_t,
                            std::uint64_t>; // tick, class, chan, seq
@@ -670,16 +670,7 @@ TEST(EventQueueChannel, MixedStressHoldsWithCalendarOverflowDetours)
     // overflow heap, zero delays into the running tick included. Each
     // detour must reach its tick list before any later event does, or
     // FIFO within a key breaks.
-    struct Armed
-    {
-        Armed()
-        {
-            guard::Faults::instance().arm(
-                guard::parseFaultSpec("cal-overflow:period=3"));
-        }
-        ~Armed() { guard::Faults::instance().disarm(); }
-    } armed;
-    mixedStressMatchesReferenceModel();
+    mixedStressMatchesReferenceModel(/*cal_overflow_period=*/3);
 }
 
 } // namespace

@@ -4,7 +4,8 @@
  * parsing, the counter-based fault RNG, the invariant-checker
  * switchboard, the progress watchdog's detectors, WindowBarrier
  * teardown, SPSC-ring destruction with unconsumed entries, and the
- * crash flight recorder (clean and signal paths).
+ * crash flight recorder (clean and signal paths, the latter with a
+ * live trace tail).
  */
 
 #include <gtest/gtest.h>
@@ -17,8 +18,11 @@
 #include <memory>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "obs/categories.hh"
+#include "obs/trace.hh"
+#include "sim/event_queue.hh"
 #include "sim/guard/checkers.hh"
 #include "sim/guard/fault.hh"
 #include "sim/guard/flight_recorder.hh"
@@ -127,8 +131,8 @@ TEST(FaultSpec, RejectsUnknownTokens)
 
 TEST(FaultRng, LinkStallIsDeterministicPerSiteAndCounter)
 {
-    guard::Faults &f = guard::Faults::instance();
-    f.arm(guard::parseFaultSpec("link-stall:p=0.5,extra=16,seed=42"));
+    guard::FaultPlan f =
+        guard::parseFaultSpec("link-stall:p=0.5,extra=16,seed=42");
 
     unsigned stalls = 0;
     for (std::uint64_t c = 0; c < 1000; ++c) {
@@ -151,29 +155,32 @@ TEST(FaultRng, LinkStallIsDeterministicPerSiteAndCounter)
     for (std::uint64_t c = 0; c < 100; ++c)
         differing += f.linkStallTicks(3, c) != f.linkStallTicks(4, c);
     EXPECT_GT(differing, 0u);
-
-    f.disarm();
-    EXPECT_FALSE(guard::Faults::on(guard::FaultKind::LinkStall));
 }
 
 TEST(FaultRng, CalendarOverflowPeriod)
 {
-    guard::Faults &f = guard::Faults::instance();
-    f.arm(guard::parseFaultSpec("cal-overflow:period=3"));
-    EXPECT_TRUE(f.calendarOverflowHit(0));
-    EXPECT_FALSE(f.calendarOverflowHit(1));
-    EXPECT_FALSE(f.calendarOverflowHit(2));
-    EXPECT_TRUE(f.calendarOverflowHit(3));
-    f.disarm();
+    // The plan hands its period to the event queue, where every third
+    // schedule detours through the overflow heap and migrates back into
+    // its tick list before anything newer lands there.
+    guard::FaultPlan f = guard::parseFaultSpec("cal-overflow:period=3");
+    EventQueue eq(f.calendarOverflowPeriod());
+    std::vector<int> order;
+    for (int i = 0; i < 9; ++i)
+        eq.scheduleAt(5, [&order, i] { order.push_back(i); });
+    eq.run();
+    EXPECT_EQ(eq.overflowMigrations(), 3u);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8}));
+
+    EXPECT_EQ(guard::FaultPlan{}.calendarOverflowPeriod(), 0u)
+        << "no detours unless the spec names cal-overflow";
 }
 
 // ---- invariant checkers ----------------------------------------------
 
 TEST(Checks, MessageConservationCatchesLoss)
 {
-    guard::Checks &c = guard::Checks::instance();
-    c.arm(obs::catBit(obs::Cat::Message), 4, /*pair_fifo=*/false);
-    EXPECT_TRUE(guard::Checks::on(obs::Cat::Message));
+    guard::Checks c(obs::catBit(obs::Cat::Message), 4, /*pair_fifo=*/false);
+    EXPECT_TRUE(c.on(obs::Cat::Message));
 
     c.countInject();
     c.countInject();
@@ -182,14 +189,11 @@ TEST(Checks, MessageConservationCatchesLoss)
 
     c.countDeliver(0, 2, 0, 200);
     EXPECT_NO_THROW(c.checkMessageConservation());
-    c.disarm();
-    EXPECT_FALSE(guard::Checks::on(obs::Cat::Message));
 }
 
 TEST(Checks, PairwiseFifoCatchesOvertaking)
 {
-    guard::Checks &c = guard::Checks::instance();
-    c.arm(obs::catBit(obs::Cat::Message), 4, /*pair_fifo=*/true);
+    guard::Checks c(obs::catBit(obs::Cat::Message), 4, /*pair_fifo=*/true);
 
     c.countDeliver(0, 1, 0, 10);
     c.countDeliver(0, 1, 1, 20);
@@ -202,17 +206,14 @@ TEST(Checks, PairwiseFifoCatchesOvertaking)
         EXPECT_NE(std::string(e.what()).find("LTP_CHECK"),
                   std::string::npos);
     }
-    c.disarm();
 }
 
 TEST(Checks, LocalBypassSkipsFifoCheck)
 {
-    guard::Checks &c = guard::Checks::instance();
-    c.arm(obs::catBit(obs::Cat::Message), 4, /*pair_fifo=*/true);
+    guard::Checks c(obs::catBit(obs::Cat::Message), 4, /*pair_fifo=*/true);
     // src == dst never routes, so netSeq stays 0 on every message.
     EXPECT_NO_THROW(c.countDeliver(2, 2, 0, 10));
     EXPECT_NO_THROW(c.countDeliver(2, 2, 0, 20));
-    c.disarm();
 }
 
 // ---- watchdog --------------------------------------------------------
@@ -393,12 +394,8 @@ TEST(FlightRecorder, CleanPathDumpCarriesContext)
     ctx.tick = [] { return Tick(1234); };
     ctx.events = [] { return std::uint64_t(5678); };
     ctx.shards = 3;
-    guard::FlightRecorder &fr = guard::FlightRecorder::instance();
-    fr.arm(path, std::move(ctx));
-    EXPECT_TRUE(fr.armed());
+    guard::FlightRecorder fr(path, std::move(ctx));
     EXPECT_TRUE(fr.dumpNow("test reason with \"quotes\""));
-    fr.disarm();
-    EXPECT_FALSE(fr.armed());
 
     std::string dump = slurp(path);
     EXPECT_NE(dump.find("\"reason\": \"test reason with \\\"quotes\\\"\""),
@@ -411,13 +408,6 @@ TEST(FlightRecorder, CleanPathDumpCarriesContext)
     std::remove(path.c_str());
 }
 
-TEST(FlightRecorder, DisarmedDumpIsRefused)
-{
-    guard::FlightRecorder &fr = guard::FlightRecorder::instance();
-    ASSERT_FALSE(fr.armed());
-    EXPECT_FALSE(fr.dumpNow("nobody listening"));
-}
-
 using FlightRecorderDeathTest = ::testing::Test;
 
 TEST(FlightRecorderDeathTest, CrashPathWritesADumpOnAbort)
@@ -425,14 +415,14 @@ TEST(FlightRecorderDeathTest, CrashPathWritesADumpOnAbort)
     std::string path = tempPath("ltp_guard_test_fr_crash.json");
     std::remove(path.c_str());
 
-    // The death-test child arms the recorder and dies on SIGABRT; its
+    // The death-test child starts a recorder and dies on SIGABRT; its
     // crash handler must leave the dump behind before re-raising.
     EXPECT_DEATH(
         {
             guard::RecorderContext ctx;
             ctx.tick = [] { return Tick(99); };
             ctx.events = [] { return std::uint64_t(42); };
-            guard::FlightRecorder::instance().arm(path, std::move(ctx));
+            guard::FlightRecorder fr(path, std::move(ctx));
             std::abort();
         },
         "");
@@ -441,6 +431,45 @@ TEST(FlightRecorderDeathTest, CrashPathWritesADumpOnAbort)
     EXPECT_NE(dump.find("\"name\": \"SIGABRT\""), std::string::npos)
         << dump;
     EXPECT_NE(dump.find("\"tick\": 99"), std::string::npos) << dump;
+    EXPECT_NE(dump.find("\"traceTail\": ["), std::string::npos) << dump;
+    std::remove(path.c_str());
+}
+
+TEST(FlightRecorderDeathTest, CrashPathDumpCarriesTheTraceTail)
+{
+    std::string path = tempPath("ltp_guard_test_fr_crash_tail.json");
+    std::remove(path.c_str());
+
+    // The child dies while its run's tracer still buffers 300 records
+    // over two shards; the signal-path dump must carry the newest 256
+    // of them, oldest first, without allocating.
+    EXPECT_DEATH(
+        {
+            obs::TraceConfig tc;
+            tc.path = tempPath("ltp_guard_test_fr_never_flushed.json");
+            obs::Tracer tracer(tc, {0, 1});
+            for (Tick t = 1; t <= 300; ++t) {
+                tracer.instant(obs::Cat::Predictor, std::uint32_t(t % 2),
+                               "crash-tail", t);
+            }
+            guard::RecorderContext ctx;
+            ctx.shards = 2;
+            ctx.tracer = &tracer;
+            guard::FlightRecorder fr(path, std::move(ctx));
+            std::abort();
+        },
+        "");
+
+    std::string dump = slurp(path);
+    EXPECT_NE(dump.find("\"name\": \"crash-tail\""), std::string::npos)
+        << dump;
+    std::size_t first = dump.find("{\"ts\": 45,");
+    std::size_t last = dump.find("{\"ts\": 300,");
+    EXPECT_NE(first, std::string::npos) << dump;
+    EXPECT_NE(last, std::string::npos) << dump;
+    EXPECT_LT(first, last) << "oldest first";
+    EXPECT_EQ(dump.find("{\"ts\": 44,"), std::string::npos)
+        << "only the newest 256 records";
     std::remove(path.c_str());
 }
 
