@@ -8,8 +8,6 @@
 #include <benchmark/benchmark.h>
 
 #include "dsm/experiment.hh"
-#include "predictor/last_pc.hh"
-#include "predictor/ltp_global.hh"
 #include "predictor/ltp_per_block.hh"
 #include "predictor/signature.hh"
 #include "sim/event_queue.hh"
@@ -31,11 +29,10 @@ BM_SignatureExtend(benchmark::State &state)
 }
 BENCHMARK(BM_SignatureExtend)->Arg(30)->Arg(13)->Arg(6);
 
-template <typename Pred>
 void
-predictorTouchLoop(benchmark::State &state)
+predictorTouchLoop(benchmark::State &state, PredictorKind kind)
 {
-    Pred pred;
+    LastTouchPredictor pred(kind);
     std::uint64_t i = 0;
     for (auto _ : state) {
         Addr blk = (i % 1024) * 32;
@@ -51,21 +48,21 @@ predictorTouchLoop(benchmark::State &state)
 void
 BM_LtpPerBlockTouch(benchmark::State &state)
 {
-    predictorTouchLoop<LtpPerBlock>(state);
+    predictorTouchLoop(state, PredictorKind::LtpPerBlock);
 }
 BENCHMARK(BM_LtpPerBlockTouch);
 
 void
 BM_LtpGlobalTouch(benchmark::State &state)
 {
-    predictorTouchLoop<LtpGlobal>(state);
+    predictorTouchLoop(state, PredictorKind::LtpGlobal);
 }
 BENCHMARK(BM_LtpGlobalTouch);
 
 void
 BM_LastPcTouch(benchmark::State &state)
 {
-    predictorTouchLoop<LastPcPredictor>(state);
+    predictorTouchLoop(state, PredictorKind::LastPc);
 }
 BENCHMARK(BM_LastPcTouch);
 

@@ -20,18 +20,6 @@
 namespace ltp
 {
 
-/** Which self-invalidation scheme a run uses. */
-enum class PredictorKind
-{
-    Base,        //!< no self-invalidation
-    Dsi,         //!< Lebeck & Wood versioning + sync-boundary flush
-    LastPc,      //!< single-instruction correlation
-    LtpPerBlock, //!< trace-based, per-block tables (the paper's base LTP)
-    LtpGlobal,   //!< trace-based, global table
-};
-
-const char *predictorKindName(PredictorKind k);
-
 /**
  * Upper bound on SystemParams::simThreads. Far above any sane host
  * (shards can never exceed the node count anyway); its purpose is to

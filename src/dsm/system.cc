@@ -8,8 +8,6 @@
 #include "net/topo/routed_network.hh"
 #include "obs/metrics.hh"
 #include "predictor/dsi.hh"
-#include "predictor/last_pc.hh"
-#include "predictor/ltp_global.hh"
 #include "predictor/ltp_per_block.hh"
 #include "sim/guard/flight_recorder.hh"
 #include "sim/guard/watchdog.hh"
@@ -50,7 +48,6 @@ observersFor(const SystemParams &params, const ShardPlan &plan)
     ObserverConfig oc;
     oc.trace.path = params.obs.traceFile;
     oc.trace.categories = params.obs.tracerCategories;
-    oc.trace.eventCapPerShard = params.obs.traceEventCapPerShard;
     oc.checkMask = params.guard.checkMask;
     // The pairwise-FIFO check reads netSeq, which only the routed
     // network stamps (the p2p model delivers in order by design).
@@ -65,19 +62,6 @@ observersFor(const SystemParams &params, const ShardPlan &plan)
 }
 
 } // namespace
-
-const char *
-predictorKindName(PredictorKind k)
-{
-    switch (k) {
-      case PredictorKind::Base: return "base";
-      case PredictorKind::Dsi: return "dsi";
-      case PredictorKind::LastPc: return "last-pc";
-      case PredictorKind::LtpPerBlock: return "ltp";
-      case PredictorKind::LtpGlobal: return "ltp-global";
-    }
-    return "?";
-}
 
 SystemParams
 SystemParams::base()
@@ -176,11 +160,10 @@ DsmSystem::makePredictor() const
       case PredictorKind::Dsi:
         return std::make_unique<DsiPredictor>();
       case PredictorKind::LastPc:
-        return std::make_unique<LastPcPredictor>(params_.ltp);
       case PredictorKind::LtpPerBlock:
-        return std::make_unique<LtpPerBlock>(params_.ltp);
       case PredictorKind::LtpGlobal:
-        return std::make_unique<LtpGlobal>(params_.ltp);
+        return std::make_unique<LastTouchPredictor>(params_.predictor,
+                                                    params_.ltp);
     }
     return std::make_unique<NullPredictor>();
 }

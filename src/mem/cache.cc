@@ -81,7 +81,7 @@ Cache::insert(Addr addr, CacheState state)
         return std::nullopt;
     }
 
-    // Preserve sticky per-block flags across re-fetches. Copied out now:
+    // Preserve the DSI version across re-fetches. Copied out now:
     // the eviction below mutates lines_, which invalidates `existing`.
     CacheLine preserved;
     if (existing)
@@ -132,9 +132,8 @@ Cache::invalidate(Addr addr)
         return;
     if (!unbounded() && e->line.state != CacheState::Invalid)
         lru_[setIndex(blk)].erase(e->lruPos);
-    // Keep the entry (state Invalid) so sticky flags like activelyShared
-    // and the DSI version survive re-fetch; finite mode erases fully to
-    // bound memory.
+    // Keep the entry (state Invalid) so the DSI version survives for the
+    // next request; finite mode erases fully to bound memory.
     if (unbounded()) {
         e->line.state = CacheState::Invalid;
     } else {

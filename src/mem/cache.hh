@@ -38,8 +38,6 @@ struct CacheLine
     CacheState state = CacheState::Invalid;
     /** DSI write-version carried with the data reply that filled us. */
     std::uint64_t version = 0;
-    /** Set once the block has suffered a coherence (not cold) miss. */
-    bool activelyShared = false;
 };
 
 /**
@@ -64,8 +62,8 @@ class Cache
 
     /**
      * Look up the bookkeeping entry for @p addr even when the block is
-     * Invalid (unbounded caches retain invalidated entries so sticky
-     * metadata like the DSI version number survives re-fetch).
+     * Invalid (unbounded caches retain invalidated entries so the DSI
+     * version number survives re-fetch).
      */
     CacheLine *findAny(Addr addr);
 

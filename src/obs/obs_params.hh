@@ -18,7 +18,6 @@
 #ifndef LTP_OBS_OBS_PARAMS_HH
 #define LTP_OBS_OBS_PARAMS_HH
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -36,8 +35,6 @@ struct ObsParams
     std::string traceFile;
     /** Mask of traced categories (obs/categories.hh). */
     std::uint32_t tracerCategories = allCatsMask;
-    /** Per-shard trace record cap (drops are counted, never silent). */
-    std::size_t traceEventCapPerShard = std::size_t(1) << 20;
 
     /** JSONL metrics output path; empty = sampling off. */
     std::string metricsFile;

@@ -47,7 +47,7 @@ Tracer::record(Cat c, bool span, std::uint32_t node, const char *name,
     // node's records come from events on that node's shard.
     unsigned shard = c == Cat::Engine ? node : nodeShard_[node];
     ShardBuf &buf = *buffers_[shard];
-    if (buf.count >= config_.eventCapPerShard) {
+    if (buf.count >= eventCapPerShard) {
         ++buf.dropped;
         return;
     }

@@ -70,13 +70,17 @@ struct TraceConfig
     std::string path;
     /** Category mask (see obs/categories.hh); default: everything. */
     std::uint32_t categories = allCatsMask;
-    /** Hard cap on records per shard buffer (ring + spill). */
-    std::size_t eventCapPerShard = std::size_t(1) << 20;
 };
 
 class Tracer
 {
   public:
+    /**
+     * Hard cap on records per shard buffer (ring + spill), about 48 MB;
+     * records past it are dropped and counted.
+     */
+    static constexpr std::size_t eventCapPerShard = std::size_t(1) << 20;
+
     /**
      * Trace a run whose node -> shard map is @p node_shard: one record
      * buffer per shard, the configured categories enabled. An empty

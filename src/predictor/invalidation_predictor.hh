@@ -25,6 +25,30 @@
 namespace ltp
 {
 
+/** Which self-invalidation scheme a run uses. */
+enum class PredictorKind
+{
+    Base,        //!< no self-invalidation
+    Dsi,         //!< Lebeck & Wood versioning + sync-boundary flush
+    LastPc,      //!< single-instruction correlation
+    LtpPerBlock, //!< trace-based, per-block tables (the paper's base LTP)
+    LtpGlobal,   //!< trace-based, global table
+};
+
+/** Short scheme name for reports ("base", "dsi", "last-pc", ...). */
+inline const char *
+predictorKindName(PredictorKind k)
+{
+    switch (k) {
+      case PredictorKind::Base: return "base";
+      case PredictorKind::Dsi: return "dsi";
+      case PredictorKind::LastPc: return "last-pc";
+      case PredictorKind::LtpPerBlock: return "ltp";
+      case PredictorKind::LtpGlobal: return "ltp-global";
+    }
+    return "?";
+}
+
 /**
  * Callback surface a predictor uses to request self-invalidations that
  * are not tied to the current touch (DSI invalidates its whole candidate

@@ -1,73 +1,88 @@
 #include "predictor/ltp_per_block.hh"
 
+#include <cassert>
+
 namespace ltp
 {
 
-LtpPerBlock::TableEntry *
-LtpPerBlock::findEntry(BlockState &b, const Signature &sig)
+// Last-PC's one-PC trace is 64 bits wide: Signature::mix is a bijection,
+// so two such traces match exactly when their PCs do.
+LastTouchPredictor::LastTouchPredictor(PredictorKind kind, LtpParams params)
+    : kind_(kind), params_(params),
+      traceBits_(kind == PredictorKind::LastPc ? 64 : params.sigBits)
 {
+    assert(kind == PredictorKind::LtpPerBlock ||
+           kind == PredictorKind::LtpGlobal ||
+           kind == PredictorKind::LastPc);
+}
+
+ConfidenceCounter *
+LastTouchPredictor::find(BlockState &b, std::uint64_t sig)
+{
+    if (kind_ == PredictorKind::LtpGlobal)
+        return global_.find(sig);
     for (auto &e : b.table) {
         if (e.sig == sig)
-            return &e;
+            return &e.conf;
     }
     return nullptr;
 }
 
 bool
-LtpPerBlock::onTouch(Addr blk, Pc pc, bool is_write, bool fill)
+LastTouchPredictor::onTouch(Addr blk, Pc pc, bool is_write, bool fill)
 {
     (void)is_write;
     BlockState &b = blocks_[blk];
-    if (fill || !b.traceOpen) {
-        b.cur = Signature::init(pc, params_.sigBits, params_.encoding);
-        b.traceOpen = true;
-    } else {
+    if (fill || !b.traceOpen || kind_ == PredictorKind::LastPc)
+        b.cur = Signature::init(pc, traceBits_, params_.encoding);
+    else
         b.cur = b.cur.extend(pc);
-    }
+    b.traceOpen = true;
 
-    TableEntry *e = findEntry(b, b.cur);
-    if (e && e->conf.atLeast(params_.confThreshold)) {
-        b.predictedSig = b.cur;
+    ConfidenceCounter *conf = find(b, b.cur.value());
+    if (conf && conf->atLeast(params_.confThreshold)) {
+        b.predictedSig = b.cur.value();
         return true;
     }
     return false;
 }
 
 void
-LtpPerBlock::onInvalidation(Addr blk)
+LastTouchPredictor::onInvalidation(Addr blk)
 {
     BlockState *bp = blocks_.find(blk);
     if (!bp || !bp->traceOpen)
         return;
     BlockState &b = *bp;
+    b.active = true;
 
     // The trace just completed: its current signature IS the last-touch
     // signature for this sharing phase. Learn it.
-    if (TableEntry *e = findEntry(b, b.cur)) {
-        e->conf.strengthen();
-    } else {
-        b.table.push_back(TableEntry{
-            b.cur, ConfidenceCounter(params_.confInitial, params_.confMax)});
-    }
+    std::uint64_t sig = b.cur.value();
+    if (ConfidenceCounter *conf = find(b, sig))
+        conf->strengthen();
+    else if (kind_ == PredictorKind::LtpGlobal)
+        global_.insert(sig, ConfidenceCounter());
+    else
+        b.table.push_back(TableEntry{sig, ConfidenceCounter()});
     b.traceOpen = false;
     b.predictedSig.reset();
 }
 
 void
-LtpPerBlock::onVerification(Addr blk, bool premature)
+LastTouchPredictor::onVerification(Addr blk, bool premature)
 {
     BlockState *bp = blocks_.find(blk);
-    if (!bp)
+    if (!bp || !bp->predictedSig)
         return;
     BlockState &b = *bp;
-    if (!b.predictedSig)
-        return;
+    b.active = true;
 
-    if (TableEntry *e = findEntry(b, *b.predictedSig)) {
+    if (ConfidenceCounter *conf = find(b, *b.predictedSig)) {
         if (premature)
-            e->conf.weaken();
+            conf->weaken();
         else
-            e->conf.strengthen();
+            conf->strengthen();
     }
     b.predictedSig.reset();
     // Either way the old trace is over: a correct self-invalidation ended
@@ -76,25 +91,20 @@ LtpPerBlock::onVerification(Addr blk, bool premature)
 }
 
 std::optional<StorageStats>
-LtpPerBlock::storage() const
+LastTouchPredictor::storage() const
 {
     StorageStats s;
-    s.sigBits = params_.sigBits;
+    // Last-PC's entries are whole PCs, charged at 30 bits.
+    s.sigBits = kind_ == PredictorKind::LastPc ? 30 : params_.sigBits;
+    // Each organization fills either the global table or the per-block
+    // ones; the other stays empty.
+    s.totalEntries = global_.size();
     for (const auto &[blk, b] : blocks_) {
         (void)blk;
-        if (b.table.empty())
-            continue; // never invalidated: not an actively shared block
-        ++s.activeBlocks;
+        s.activeBlocks += b.active;
         s.totalEntries += b.table.size();
     }
     return s;
-}
-
-std::size_t
-LtpPerBlock::tableSize(Addr blk) const
-{
-    const BlockState *b = blocks_.find(blk);
-    return b ? b->table.size() : 0;
 }
 
 } // namespace ltp

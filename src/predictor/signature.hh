@@ -133,15 +133,19 @@ class Signature
 class ConfidenceCounter
 {
   public:
-    explicit ConfidenceCounter(unsigned initial = 2, unsigned max = 3)
-        : value_(initial), max_(max)
+    /** A two-bit counter saturates at 3. */
+    static constexpr unsigned max = 3;
+
+    /** A newly learned signature starts one step below saturation. */
+    explicit ConfidenceCounter(unsigned initial = 2) : value_(initial)
     {
+        assert(initial <= max);
     }
 
     void
     strengthen()
     {
-        if (value_ < max_)
+        if (value_ < max)
             ++value_;
     }
 
@@ -150,11 +154,10 @@ class ConfidenceCounter
 
     unsigned value() const { return value_; }
     bool atLeast(unsigned threshold) const { return value_ >= threshold; }
-    bool saturated() const { return value_ >= max_; }
+    bool saturated() const { return value_ >= max; }
 
   private:
-    unsigned value_;
-    unsigned max_;
+    std::uint8_t value_;
 };
 
 } // namespace ltp

@@ -84,7 +84,7 @@ CacheController::access(Addr addr, Pc pc, bool is_write, AccessDone done)
     // DSI versioning: report the version of our last-held copy, or
     // "no version" on a cold access.
     CacheLine *any = cache_.findAny(blk);
-    req.version = (any && any->activelyShared) ? any->version : noVersion;
+    req.version = any ? any->version : noVersion;
     Tick delay = params_.ctrlOverhead +
                  (req.dst != node_ ? params_.remoteLookup : 0);
     send(req, delay);
@@ -130,7 +130,6 @@ CacheController::handleData(const Message &msg)
     auto victim = cache_.insert(blk, st);
     CacheLine *line = cache_.find(blk);
     line->version = msg.version;
-    line->activelyShared = true;
     if (victim) {
         Message ev;
         ev.type = victim->state == CacheState::Exclusive ? MsgType::EvictX
@@ -172,7 +171,6 @@ CacheController::handleForward(const Message &msg)
     cache_.insert(blk, CacheState::Shared);
     CacheLine *line = cache_.find(blk);
     line->version = msg.version;
-    line->activelyShared = true;
     forwardFills_.inc();
 }
 

@@ -133,7 +133,6 @@ DirController::processVerification(const Message &msg, DirEntry &e)
         // The node that self-invalidated is back for the block: its
         // self-invalidation was premature.
         e.clearVerif(r);
-        writeCopyMask_[blk] &= ~bitOf(r);
         selfInvPremature_.inc();
         verdict = Verification::Premature;
     }
@@ -143,12 +142,11 @@ DirController::processVerification(const Message &msg, DirEntry &e)
     // (the read/write phase changed for those).
     std::uint64_t confirm = e.verifMask;
     if (msg.type == MsgType::GetS)
-        confirm &= writeCopyMask_[blk];
+        confirm &= e.writeCopyMask;
     while (confirm) {
         NodeId n = NodeId(__builtin_ctzll(confirm));
         confirm &= confirm - 1;
         bool timely = e.clearVerif(n);
-        writeCopyMask_[blk] &= ~bitOf(n);
         if (timely)
             selfInvTimelyCorrect_.inc();
         else
@@ -227,8 +225,8 @@ DirController::handleGetS(const Message &msg, DirEntry &e)
         Txn txn;
         txn.req = msg;
         txn.awaitingWb = true;
+        txn.verdict = verdict;
         txns_[blk] = txn;
-        txnVerdicts_[blk] = verdict;
         Message wb;
         wb.type = MsgType::WbReq;
         wb.src = node_;
@@ -313,8 +311,8 @@ DirController::handleGetX(const Message &msg, DirEntry &e)
             inv.requester = r;
             send(inv, params_.engineOverhead);
         }
+        txn.verdict = verdict;
         txns_[blk] = txn;
-        txnVerdicts_[blk] = verdict;
         return params_.engineOverhead;
       }
       case DirState::Exclusive: {
@@ -323,8 +321,8 @@ DirController::handleGetX(const Message &msg, DirEntry &e)
         Txn txn;
         txn.req = msg;
         txn.awaitingWb = true;
+        txn.verdict = verdict;
         txns_[blk] = txn;
-        txnVerdicts_[blk] = verdict;
         Message wb;
         wb.type = MsgType::WbReq;
         wb.src = node_;
@@ -392,7 +390,7 @@ DirController::completeWithWriteback(Addr blk, DirEntry &e, Txn &txn)
     reply.dst = r;
     reply.addr = blk;
     reply.dsiCandidate = cand;
-    reply.verification = txnVerdicts_[blk];
+    reply.verification = txn.verdict;
     reply.version = e.version; // version of the data as fetched
     if (txn.req.type == MsgType::GetX) {
         e.state = DirState::Exclusive;
@@ -408,7 +406,6 @@ DirController::completeWithWriteback(Addr blk, DirEntry &e, Txn &txn)
     Tick latency = params_.engineOverhead + params_.memAccess;
     sendData(reply, latency);
     txns_.erase(blk);
-    txnVerdicts_.erase(blk);
     return latency;
 }
 
@@ -430,11 +427,10 @@ DirController::completeInvalidation(Addr blk, DirEntry &e, Txn &txn)
     reply.addr = blk;
     reply.version = fetched_version;
     reply.dsiCandidate = cand;
-    reply.verification = txnVerdicts_[blk];
+    reply.verification = txn.verdict;
     Tick latency = params_.engineOverhead + params_.memAccess;
     sendData(reply, latency);
     txns_.erase(blk);
-    txnVerdicts_.erase(blk);
     return latency;
 }
 
@@ -516,7 +512,7 @@ DirController::handleSelfInvOrEvict(const Message &msg)
             }
             if (is_self) {
                 e.setVerif(n, /*timely=*/true);
-                writeCopyMask_[blk] |= bitOf(n);
+                e.writeCopyMask |= bitOf(n);
             }
             return params_.engineOverhead + params_.memAccess;
         }

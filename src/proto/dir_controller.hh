@@ -101,6 +101,8 @@ class DirController
         unsigned pendingAcks = 0; //!< Inv acks still outstanding
         std::uint64_t ackedNodes = 0;
         bool requesterHadCopy = false;
+        /** Verification verdict to piggyback on the reply. */
+        Verification verdict = Verification::None;
     };
 
     void engineKick();
@@ -157,11 +159,7 @@ class DirController
     std::deque<Queued> inq_;
     bool engineBusy_ = false;
     FlatMap<Addr, Txn> txns_;
-    /** Verification verdict to piggyback on the pending reply. */
-    FlatMap<Addr, Verification> txnVerdicts_;
     FlatMap<Addr, std::deque<Queued>> deferred_;
-    /** Self-invalidated *write* copies awaiting verification (per block). */
-    FlatMap<Addr, std::uint64_t> writeCopyMask_;
 
     VerifyHook verifyHook_;
     SharingPredictor sharing_;

@@ -47,6 +47,8 @@ struct DirEntry
     std::uint64_t verifMask = 0;
     /** Whether the self-invalidation arrived timely (per masked node). */
     std::uint64_t timelyMask = 0;
+    /** Masked nodes whose self-invalidated copy was a write copy. */
+    std::uint64_t writeCopyMask = 0;
 
     /** True while a transaction for this block is in flight. */
     bool busy = false;
@@ -68,13 +70,14 @@ struct DirEntry
             timelyMask &= ~(std::uint64_t(1) << n);
     }
 
-    /** Remove @p n from the mask; @return whether its entry was timely. */
+    /** Remove @p n from the masks; @return whether its entry was timely. */
     bool
     clearVerif(NodeId n)
     {
         bool timely = (timelyMask >> n) & 1;
         verifMask &= ~(std::uint64_t(1) << n);
         timelyMask &= ~(std::uint64_t(1) << n);
+        writeCopyMask &= ~(std::uint64_t(1) << n);
         return timely;
     }
 };

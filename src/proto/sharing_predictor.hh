@@ -48,7 +48,7 @@ class SharingPredictor
             } else if (t.conf.value() == 0 ||
                        t.target == invalidNode) {
                 t.target = requester;
-                t.conf = ConfidenceCounter(1, 3);
+                t.conf = ConfidenceCounter(1);
             } else {
                 t.conf.weaken();
             }
@@ -82,7 +82,7 @@ class SharingPredictor
     struct Transition
     {
         NodeId target = invalidNode;
-        ConfidenceCounter conf{0, 3};
+        ConfidenceCounter conf{0};
     };
 
     struct BlockState

@@ -40,24 +40,26 @@ TEST(CacheUnbounded, InvalidateRemovesButKeepsMetadata)
     Cache c(32);
     c.insert(0x100, CacheState::Exclusive);
     c.find(0x100)->version = 7;
-    c.find(0x100)->activelyShared = true;
     c.invalidate(0x100);
     EXPECT_EQ(c.find(0x100), nullptr);
-    // Sticky metadata survives for DSI versioning.
+    // The DSI version survives for the next request to report.
     CacheLine *any = c.findAny(0x100);
     ASSERT_NE(any, nullptr);
+    EXPECT_EQ(any->state, CacheState::Invalid);
     EXPECT_EQ(any->version, 7u);
-    EXPECT_TRUE(any->activelyShared);
 }
 
-TEST(CacheUnbounded, ReinsertPreservesStickyFlags)
+TEST(CacheUnbounded, ReinsertPreservesVersion)
 {
     Cache c(32);
     c.insert(0x100, CacheState::Shared);
-    c.find(0x100)->activelyShared = true;
+    c.find(0x100)->version = 7;
     c.invalidate(0x100);
-    c.insert(0x100, CacheState::Shared);
-    EXPECT_TRUE(c.find(0x100)->activelyShared);
+    c.insert(0x100, CacheState::Exclusive);
+    CacheLine *l = c.find(0x100);
+    ASSERT_NE(l, nullptr);
+    EXPECT_EQ(l->state, CacheState::Exclusive);
+    EXPECT_EQ(l->version, 7u);
 }
 
 TEST(CacheUnbounded, Downgrade)

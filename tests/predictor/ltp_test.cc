@@ -9,8 +9,6 @@
 
 #include <vector>
 
-#include "predictor/last_pc.hh"
-#include "predictor/ltp_global.hh"
 #include "predictor/ltp_per_block.hh"
 
 namespace ltp
@@ -150,7 +148,7 @@ TEST(LtpPerBlock, TableGrowsOnePerDistinctSignature)
     runTrace(p, blkX, {pcI, pcJ});
     runTrace(p, blkX, {pcI, pcJ, pcK});
     runTrace(p, blkX, {pcI}); // repeat: no new entry
-    EXPECT_EQ(p.tableSize(blkX), 3u);
+    EXPECT_EQ(p.storage()->totalEntries, 3u);
 }
 
 TEST(LtpPerBlock, StorageCountsActiveBlocksOnly)
@@ -178,7 +176,7 @@ TEST(LtpPerBlock, StorageBytesFormula)
 TEST(LtpGlobal, SharesSignaturesAcrossBlocks)
 {
     // The PAg upside: block Y benefits from block X's training.
-    LtpGlobal p;
+    LastTouchPredictor p(PredictorKind::LtpGlobal);
     runTrace(p, blkX, {pcI, pcJ});
     runTrace(p, blkX, {pcI, pcJ});
     runTrace(p, blkX, {pcI, pcJ});
@@ -190,7 +188,7 @@ TEST(LtpGlobal, CrossBlockSubtraceAliasing)
 {
     // Section 5.3: block X's complete trace {pcI} is a prefix of block
     // Y's trace {pcI, pcJ} — the global table mispredicts on Y.
-    LtpGlobal p;
+    LastTouchPredictor p(PredictorKind::LtpGlobal);
     runTrace(p, blkX, {pcI});
     runTrace(p, blkX, {pcI});
     runTrace(p, blkX, {pcI});
@@ -209,21 +207,38 @@ TEST(LtpGlobal, PerBlockDoesNotAliasSameCase)
 
 TEST(LtpGlobal, SingleTableEntryForCommonPattern)
 {
-    LtpGlobal p;
+    LastTouchPredictor p(PredictorKind::LtpGlobal);
     for (Addr blk = 0; blk < 32 * 20; blk += 32) {
         p.onTouch(blk, pcI, false, true);
         p.onInvalidation(blk);
     }
-    EXPECT_EQ(p.globalTableSize(), 1u);
     auto s = p.storage();
     ASSERT_TRUE(s.has_value());
+    EXPECT_EQ(s->totalEntries, 1u);
     EXPECT_EQ(s->activeBlocks, 20u);
     EXPECT_LT(s->entriesPerBlock(), 1.0);
 }
 
+TEST(LtpGlobal, StorageCountsBlocksActivatedByVerification)
+{
+    // Block Y predicts from X's signature and is verified without ever
+    // being invalidated: it still counts in Table 3's divisor.
+    LastTouchPredictor p(PredictorKind::LtpGlobal);
+    for (int i = 0; i < 3; ++i)
+        runTrace(p, blkX, {pcI, pcJ});
+    EXPECT_FALSE(p.onTouch(blkY, pcI, false, true));
+    EXPECT_TRUE(p.onTouch(blkY, pcJ, false, false));
+    p.onVerification(blkY, /*premature=*/false);
+    auto s = p.storage();
+    ASSERT_TRUE(s.has_value());
+    EXPECT_EQ(s->activeBlocks, 2u);
+    EXPECT_EQ(s->totalEntries, 1u);
+    EXPECT_EQ(s->sigBits, 30u);
+}
+
 TEST(LastPc, PredictsUniqueLastPc)
 {
-    LastPcPredictor p;
+    LastTouchPredictor p(PredictorKind::LastPc);
     runTrace(p, blkX, {pcI, pcJ, pcK});
     runTrace(p, blkX, {pcI, pcJ, pcK});
     EXPECT_EQ(runTrace(p, blkX, {pcI, pcJ, pcK}), 2);
@@ -233,7 +248,7 @@ TEST(LastPc, LoopReuseDefeatsIt)
 {
     // Section 3.1: when the last-touch PC also appears mid-trace, the
     // single-PC predictor fires prematurely...
-    LastPcPredictor p;
+    LastTouchPredictor p(PredictorKind::LastPc);
     runTrace(p, blkX, {pcI, pcJ, pcJ});
     runTrace(p, blkX, {pcI, pcJ, pcJ});
     int at = runTrace(p, blkX, {pcI, pcJ, pcJ});
@@ -245,7 +260,7 @@ TEST(LastPc, TrainingAndPenaltyOscillation)
     // ...and the counter clear then silences it until retrained —
     // the mechanism that keeps Last-PC's misprediction rate low while
     // its coverage collapses (moldyn in the paper).
-    LastPcPredictor p;
+    LastTouchPredictor p(PredictorKind::LastPc);
     runTrace(p, blkX, {pcI, pcJ, pcJ});
     runTrace(p, blkX, {pcI, pcJ, pcJ});
     EXPECT_FALSE(p.onTouch(blkX, pcI, false, true));
@@ -255,12 +270,41 @@ TEST(LastPc, TrainingAndPenaltyOscillation)
     p.onInvalidation(blkX);
 }
 
+TEST(LastPc, StorageReportsFullPcWidth)
+{
+    // Last-PC stores whole PCs whatever the LTP signature width is.
+    LtpParams params;
+    params.sigBits = 13;
+    LastTouchPredictor p(PredictorKind::LastPc, params);
+    runTrace(p, blkX, {pcI, pcJ});
+    runTrace(p, blkX, {pcI, pcK});
+    p.onTouch(blkY, pcI, false, true); // trace never completes
+    auto s = p.storage();
+    ASSERT_TRUE(s.has_value());
+    EXPECT_EQ(s->sigBits, 30u);
+    EXPECT_EQ(s->activeBlocks, 1u);
+    EXPECT_EQ(s->totalEntries, 2u);
+}
+
+TEST(LastPc, ComparesWholePcsAtAnySigBits)
+{
+    // The signature width applies to LTP traces only: a one-bit LTP
+    // signature would alias pcI and pcJ, Last-PC never does.
+    LtpParams params;
+    params.sigBits = 1;
+    LastTouchPredictor p(PredictorKind::LastPc, params);
+    for (int i = 0; i < 3; ++i)
+        runTrace(p, blkX, {pcI});
+    EXPECT_FALSE(p.onTouch(blkX, pcJ, false, true));
+    EXPECT_TRUE(p.onTouch(blkX, pcI, false, false));
+}
+
 TEST(LastPc, TraceBasedBeatsItOnLoop)
 {
     // The paper's core claim, in miniature: same reference stream, LTP
     // predicts the true last touch, Last-PC cannot.
     LtpPerBlock ltp;
-    LastPcPredictor lpc;
+    LastTouchPredictor lpc(PredictorKind::LastPc);
     const std::vector<Pc> trace = {pcI, pcJ, pcJ, pcJ};
     for (int i = 0; i < 3; ++i) {
         runTrace(ltp, blkX, trace);

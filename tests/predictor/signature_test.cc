@@ -125,7 +125,7 @@ TEST(ConfidenceCounter, DefaultNotSaturated)
 
 TEST(ConfidenceCounter, StrengthenSaturates)
 {
-    ConfidenceCounter c(0, 3);
+    ConfidenceCounter c(0);
     for (int i = 0; i < 10; ++i)
         c.strengthen();
     EXPECT_EQ(c.value(), 3u);
@@ -134,7 +134,7 @@ TEST(ConfidenceCounter, StrengthenSaturates)
 
 TEST(ConfidenceCounter, WeakenClears)
 {
-    ConfidenceCounter c(3, 3);
+    ConfidenceCounter c(3);
     c.weaken();
     EXPECT_EQ(c.value(), 0u);
     EXPECT_FALSE(c.atLeast(1));
@@ -142,7 +142,7 @@ TEST(ConfidenceCounter, WeakenClears)
 
 TEST(ConfidenceCounter, RecoveryTakesMaxSteps)
 {
-    ConfidenceCounter c(3, 3);
+    ConfidenceCounter c(3);
     c.weaken();
     c.strengthen();
     c.strengthen();

@@ -1,4 +1,5 @@
-// ltp-tidy fixture: ltp-no-shared-rng MUST fire on every use below.
+// ltp-tidy fixture: ltp-no-shared-rng MUST fire on each line marked
+// `expect` below and nowhere else.
 // ltp-tidy-scope: model
 //
 // A shared mutable stream makes the draw sequence part of the result:
@@ -38,11 +39,12 @@ class Router
     unsigned pickLtp(unsigned n) { return unsigned(rng_.next() % n); }
 
     // C library RNG: hidden global state.
-    unsigned pickLibc(unsigned n) { return unsigned(rand()) % n; }
+    unsigned pickLibc(unsigned n) { return unsigned(rand()) % n; } // expect
 
   private:
-    std::mt19937 gen_;
-    ltp::Rng rng_{42};
+    std::mt19937 gen_; // expect
+    // A qualified ltp::Rng member is a stream all the same.
+    ltp::Rng rng_{42}; // expect
 };
 
 } // namespace fixture

@@ -1,5 +1,5 @@
-// ltp-tidy fixture: ltp-no-unordered-container MUST fire on each
-// declaration below.
+// ltp-tidy fixture: ltp-no-unordered-container MUST fire on each line
+// marked `expect` below and nowhere else.
 // ltp-tidy-scope: model
 //
 // Hash-table iteration order depends on the hasher, the load factor,
@@ -14,7 +14,7 @@
 namespace fixture
 {
 
-using Sharers = std::unordered_set<unsigned>;
+using Sharers = std::unordered_set<unsigned>; // expect
 
 class Directory
 {
@@ -25,7 +25,7 @@ class Directory
     }
 
   private:
-    std::unordered_map<unsigned long, Sharers> sharers_;
+    std::unordered_map<unsigned long, Sharers> sharers_; // expect
 };
 
 } // namespace fixture

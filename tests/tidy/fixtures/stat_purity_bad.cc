@@ -1,5 +1,5 @@
-// ltp-tidy fixture: ltp-stat-purity MUST fire on the observer code
-// below.
+// ltp-tidy fixture: ltp-stat-purity MUST fire on each line marked
+// `expect` in the observer code below and nowhere else.
 // ltp-tidy-scope: observer
 //
 // guard/ and obs/ exist to watch the simulation, never to perturb it:
@@ -41,10 +41,20 @@ void
 armWatchdog(ltp::StatGroup &stats)
 {
     // Creating lookup + mutation from observer code.
-    stats.counter("guard.fired").inc();
+    stats.counter("guard.fired").inc(); // expect
+
+    // A creating lookup alone already adds a stat to the dump.
+    stats.counter("guard.armed"); // expect
 
     // Bulk mutator: wipes model-owned results.
-    stats.resetAll();
+    stats.resetAll(); // expect
+}
+
+void
+countFault(ltp::Counter &faults)
+{
+    // A stat object's mutator, however the handle was obtained.
+    faults.inc(); // expect
 }
 
 } // namespace fixture

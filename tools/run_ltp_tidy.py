@@ -31,9 +31,12 @@ Engine selection is automatic (plugin when usable, else lite, loudly).
     $ python3 tools/run_ltp_tidy.py --self-test        # fixture corpus
     $ python3 tools/run_ltp_tidy.py src/net            # subtree only
 
---self-test runs every tests/tidy/fixtures/<check>_bad.cc (the check
-must fire) and <check>_ok.cc (the sanctioned idiom must stay silent);
-exit 77 (ctest SKIP) only when no engine can run at all.
+--self-test runs every tests/tidy/fixtures/<check>_{bad,ok}.cc and
+requires the check to fire on exactly the lines marked for the active
+engine: lines ending in `// expect` for both engines, plus those ending
+in `// expect-plugin` (AST-only) for the plugin. The _ok fixtures
+(sanctioned idioms) carry no marks, so they must stay silent. Exit 77
+(ctest SKIP) only when no engine can run at all.
 
 Stock-profile findings are advisory by default (reported, uploaded,
 not fatal) until a baseline is captured from a real clang-tidy run;
@@ -216,7 +219,8 @@ LITE_PATTERNS = {
          "std random engine in model code; use ltp::counterHash() "
          "(sim/rng.hh)"),
         # Member streams, by the house naming convention (trailing _).
-        (re.compile(r"(?<![\w:])Rng\s+\w*_\s*(?:=[^;]*)?[;{]"),
+        (re.compile(r"(?<![\w:])(?:ltp\s*::\s*)?Rng\s+\w*_\s*"
+                    r"(?:=[^;]*)?[;{]"),
          "ltp::Rng member: a shared stream whose consumption order is "
          "part of the result; use ltp::counterHash() or record the "
          "single-consumer justification in tools/tidy_baseline.json"),
@@ -247,7 +251,7 @@ LITE_PATTERNS = {
          "observer code acquires a StatGroup handle: guard/ and obs/ "
          "must keep stats dumps byte-identical; own counters outside "
          "StatGroup (obs/engine_profile.hh idiom)"),
-        (re.compile(r"(?<![\w.>])(?:mergeFrom|resetAll)\s*\("),
+        (re.compile(r"(?:\.|->)\s*(?:mergeFrom|resetAll)\s*\("),
          "observer code mutates StatGroup state: guard/ and obs/ must "
          "keep stats dumps byte-identical"),
         (re.compile(r"(?:\.|->)\s*(?:inc|sample)\s*\("),
@@ -553,7 +557,20 @@ def sweep(args, engine, tidy, module):
     return 0
 
 
-FIXTURE_SCOPE = re.compile(r"ltp-tidy-scope:\s*(model|observer)")
+# A fixture line ending in `// expect` must be flagged by both engines;
+# one ending in `// expect-plugin` is AST-only, flagged by the plugin
+# alone (listed in tools/ltp-tidy/README.md).
+FIXTURE_MARK = re.compile(r"//\s*expect(-plugin)?\s*$")
+
+
+def fixture_marks(text, engine):
+    """The line numbers a fixture says `engine` must flag."""
+    marks = set()
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        m = FIXTURE_MARK.search(line)
+        if m and (engine == "plugin" or not m.group(1)):
+            marks.add(lineno)
+    return marks
 
 
 def self_test(args, engine, tidy, module):
@@ -574,10 +591,9 @@ def self_test(args, engine, tidy, module):
                 failures.append(f"{name}: fixture missing")
                 continue
             with open(path) as f:
-                text = f.read()
-            m = FIXTURE_SCOPE.search(text)
-            scope = m.group(1) if m else "model"
-            del scope  # scope is implied by the single-check run below
+                marks = fixture_marks(f.read(), engine)
+            if kind == "bad" and not marks:
+                failures.append(f"{name}: no line marked `// expect`")
 
             if engine == "plugin":
                 found = plugin_run(tidy, module, [path], [check], None,
@@ -588,23 +604,23 @@ def self_test(args, engine, tidy, module):
             else:
                 found = lite_scan_file(path, [check])
             ran += 1
-            hits = len(found)
-            if kind == "bad" and hits == 0:
-                failures.append(
-                    f"{name}: {check} did not fire on its negative "
-                    f"fixture (engine={engine})")
-            elif kind == "ok" and hits > 0:
-                failures.append(
-                    f"{name}: {check} fired {hits}x on the sanctioned "
-                    f"idiom: {found[0]} (engine={engine})")
+            # Exactly the marked lines: each must fire, no other may.
+            hit = {f.line for f in found}
+            for line in sorted(marks - hit):
+                failures.append(f"{name}:{line}: {check} did not fire "
+                                f"(engine={engine})")
+            for f in found:
+                if f.line not in marks:
+                    failures.append(f"{name}:{f.line}: {check} fired on "
+                                    f"an unmarked line: {f.message} "
+                                    f"(engine={engine})")
 
     print(f"ltp-tidy self-test: engine={engine}, {ran} fixture(s)")
     if failures:
         for f in failures:
             print(f"  FAIL: {f}")
         return 1
-    print("  all checks fire on their negatives and stay silent on "
-          "the sanctioned idioms")
+    print("  every check fires on exactly its fixtures' marked lines")
     return 0
 
 
