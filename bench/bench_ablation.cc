@@ -1,7 +1,6 @@
 /**
  * @file
- * Ablations on the design choices DESIGN.md calls out (beyond the
- * paper's own figures):
+ * Ablations of three design choices beyond the paper's own figures:
  *
  *  1. Confidence filtering: selective self-invalidation (2-bit counters,
  *     predict only when saturated) vs brute-force prediction (predict on
@@ -11,6 +10,9 @@
  *     engine vs a simple serial engine, under DSI's bursty flushes
  *     (the paper models the pipelined engine specifically to dampen
  *     synchronization-burst queueing).
+ *  3. Trace encoding: the paper's truncated addition (commutative,
+ *     order-insensitive) vs an order-sensitive rotate-xor, at 6-bit
+ *     signatures, by passive per-block LTP accuracy.
  */
 
 #include <cstdio>
@@ -78,36 +80,7 @@ run()
         std::printf("%-14s %18.1f %18.1f\n", name.c_str(),
                     pipe.dirQueueingMean, serial.dirQueueingMean);
     }
-    std::printf("\n== Ablation 3: LTP + sharing-prediction forwarding "
-                "(the paper's 'in the limit' extension) ==\n");
-    std::printf("%-14s %14s %14s %10s\n", "benchmark", "ltp-cycles",
-                "+fwd-cycles", "forwards");
-    const std::vector<std::string> fwd_apps = {"em3d", "tomcatv",
-                                               "ocean"};
-    for (const auto &name : fwd_apps) {
-        SystemParams sp = SystemParams::withPredictor(
-            PredictorKind::LtpPerBlock, PredictorMode::Active, 30);
-        KernelConfig cfg = defaultConfig(name);
-        cfg.nodes = sp.numNodes;
-
-        DsmSystem plain_sys(sp);
-        auto k1 = makeKernel(name);
-        RunResult plain = plain_sys.run(*k1, cfg);
-
-        sp.dir.enableForwarding = true;
-        DsmSystem fwd_sys(sp);
-        auto k2 = makeKernel(name);
-        RunResult fwd = fwd_sys.run(*k2, cfg);
-        std::uint64_t forwards =
-            fwd_sys.stats().counterValue("dir.forwards");
-
-        std::printf("%-14s %14llu %14llu %10llu\n", name.c_str(),
-                    (unsigned long long)plain.cycles,
-                    (unsigned long long)fwd.cycles,
-                    (unsigned long long)forwards);
-    }
-
-    std::printf("\n== Ablation 4: trace-encoding function, narrow "
+    std::printf("\n== Ablation 3: trace-encoding function, narrow "
                 "signatures (passive per-block LTP) ==\n");
     std::printf("%-14s %18s %18s\n", "benchmark", "trunc-add@6bit",
                 "rot-xor@6bit");
@@ -130,9 +103,7 @@ run()
 
     std::printf("\n# Expected: brute-force prediction inflates "
                 "mispredictions on variable-trace apps; the serial engine "
-                "roughly doubles DSI burst queueing; forwarding converts "
-                "consumer misses into local hits on stable "
-                "producer-consumer patterns\n");
+                "roughly doubles DSI burst queueing\n");
     return 0;
 }
 

@@ -122,21 +122,10 @@ DsmSystem::DsmSystem(SystemParams params)
     // data replies go to the cache controller.
     for (NodeId n = 0; n < params_.numNodes; ++n) {
         net_->setSink(n, [this, n](const Message &msg) {
-            switch (msg.type) {
-              case MsgType::GetS:
-              case MsgType::GetX:
-              case MsgType::InvAck:
-              case MsgType::WbData:
-              case MsgType::SelfInvS:
-              case MsgType::SelfInvX:
-              case MsgType::EvictS:
-              case MsgType::EvictX:
+            if (routesToDirectory(msg.type))
                 nodes_[n]->dirCtrl->receive(msg);
-                break;
-              default:
+            else
                 nodes_[n]->cacheCtrl->receive(msg);
-                break;
-            }
         });
         // Verification outcomes train the self-invalidating node's
         // predictor; the directory delivers each one a network hop

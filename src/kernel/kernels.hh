@@ -7,8 +7,10 @@
  * *sharing structure* the paper describes for the corresponding
  * application (Section 5.1): what matters to a last-touch predictor is
  * the (PC, block) reference stream between coherence misses and
- * invalidations, and that is what these kernels reproduce. See DESIGN.md
- * for the per-application structure notes.
+ * invalidations, and that is what these kernels reproduce. Each
+ * kernel's source file (src/kernel/<name>.cc) quotes the paper's
+ * characterization of the application and notes the structure it
+ * reproduces.
  */
 
 #ifndef LTP_KERNEL_KERNELS_HH

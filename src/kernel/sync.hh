@@ -11,8 +11,11 @@
  *
  * Barriers are "magic": arrival blocks the thread until all threads of
  * the domain arrive (plus a fixed latency), without generating spin
- * traffic. Barrier arrival also reports a synchronization boundary. See
- * DESIGN.md for why this substitution is safe.
+ * traffic. Barrier arrival also reports a synchronization boundary. The
+ * substitution leaves out only the barrier variables' own coherence
+ * traffic, whose misses and invalidations would otherwise reach the
+ * predictors and the statistics: every data access, and every boundary
+ * DSI acts on, stays as the kernel issues it.
  *
  * Arrivals from different shards meet in atomics (a count plus a
  * monotonic max of the arrival ticks — both commutative, so the release

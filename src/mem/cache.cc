@@ -81,12 +81,6 @@ Cache::insert(Addr addr, CacheState state)
         return std::nullopt;
     }
 
-    // Preserve the DSI version across re-fetches. Copied out now:
-    // the eviction below mutates lines_, which invalidates `existing`.
-    CacheLine preserved;
-    if (existing)
-        preserved = existing->line;
-
     std::optional<Victim> victim;
     if (!unbounded()) {
         auto &list = lru_[setIndex(blk)];
@@ -112,7 +106,6 @@ Cache::insert(Addr addr, CacheState state)
     }
 
     Entry e;
-    e.line = preserved;
     e.line.state = state;
     if (!unbounded()) {
         auto &list = lru_[setIndex(blk)];

@@ -62,8 +62,8 @@ class Cache
 
     /**
      * Look up the bookkeeping entry for @p addr even when the block is
-     * Invalid (unbounded caches retain invalidated entries so the DSI
-     * version number survives re-fetch).
+     * Invalid (unbounded caches retain invalidated entries so the next
+     * request can report the DSI version of the copy it last held).
      */
     CacheLine *findAny(Addr addr);
 
@@ -78,7 +78,8 @@ class Cache
     };
 
     /**
-     * Insert (or upgrade) a block in @p state.
+     * Insert (or upgrade) a block in @p state. A newly resident line
+     * has version 0; the caller stamps the version of the data.
      *
      * @return the victim evicted to make room, if any (finite mode only).
      */

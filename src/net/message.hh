@@ -38,9 +38,6 @@ enum class MsgType : std::uint8_t
     // Self-invalidation (Section 4).
     SelfInvS,   //!< cache drops a Shared copy and notifies home
     SelfInvX,   //!< cache drops an Exclusive copy, carries the data home
-    // Sharing-prediction extension: unsolicited forward of a
-    // self-invalidated block to its predicted next consumer.
-    DataFwd,
     // Capacity eviction (finite caches only; not a prediction).
     EvictS,
     EvictX,
@@ -54,8 +51,32 @@ carriesData(MsgType t)
       case MsgType::WbData:
       case MsgType::DataS:
       case MsgType::DataX:
-      case MsgType::DataFwd:
       case MsgType::SelfInvX:
+      case MsgType::EvictX:
+        return true;
+      default:
+        return false;
+    }
+}
+
+/**
+ * True for message types a node's home directory receives: requests,
+ * recall answers, self-invalidations and evictions. Every other type
+ * goes to the node's cache controller. (Not `toDirectory`: ltpbench
+ * keeps a file-local copy by that name, which argument-dependent lookup
+ * would make ambiguous.)
+ */
+constexpr bool
+routesToDirectory(MsgType t)
+{
+    switch (t) {
+      case MsgType::GetS:
+      case MsgType::GetX:
+      case MsgType::InvAck:
+      case MsgType::WbData:
+      case MsgType::SelfInvS:
+      case MsgType::SelfInvX:
+      case MsgType::EvictS:
       case MsgType::EvictX:
         return true;
       default:
@@ -80,7 +101,6 @@ msgTypeName(MsgType t)
       case MsgType::WbData: return "WbData";
       case MsgType::DataS: return "DataS";
       case MsgType::DataX: return "DataX";
-      case MsgType::DataFwd: return "DataFwd";
       case MsgType::SelfInvS: return "SelfInvS";
       case MsgType::SelfInvX: return "SelfInvX";
       case MsgType::EvictS: return "EvictS";
@@ -89,11 +109,14 @@ msgTypeName(MsgType t)
     return "?";
 }
 
-/** Self-invalidation verification outcome piggybacked on data replies. */
+/**
+ * Self-invalidation verification outcome piggybacked on data replies.
+ * Correct outcomes reach the self-invalidating node through the
+ * directory's verify hook instead (DirController::VerifyHook).
+ */
 enum class Verification : std::uint8_t
 {
     None,      //!< nothing to report
-    Correct,   //!< a previous self-invalidation by the requester was correct
     Premature, //!< the requester self-invalidated too early
 };
 

@@ -29,7 +29,6 @@ CacheController::CacheController(NodeId node, ParallelScheduler &sched,
       predNotPredicted_(stats.counter("pred.notPredicted")),
       predMispredicted_(stats.counter("pred.mispredicted")),
       selfInvsIssued_(stats.counter("pred.selfInvsIssued")),
-      forwardFills_(stats.counter("cache.forwardFills")),
       missLatency_(stats.average("cache.missLatency"))
 {
 }
@@ -98,9 +97,6 @@ CacheController::receive(const Message &msg)
       case MsgType::DataX:
         handleData(msg);
         break;
-      case MsgType::DataFwd:
-        handleForward(msg);
-        break;
       case MsgType::Inv:
       case MsgType::WbReq:
         handleInvOrWbReq(msg);
@@ -156,22 +152,6 @@ CacheController::handleData(const Message &msg)
                        afterTouch(blk, pc, write, fill);
                        done(lat, /*was_miss=*/true);
                    });
-}
-
-void
-CacheController::handleForward(const Message &msg)
-{
-    Addr blk = msg.addr;
-    // A demand transaction for the block is already in flight: the
-    // real reply will fill it; drop the speculative copy.
-    if (out_.valid && out_.blk == blk)
-        return;
-    if (cache_.find(blk))
-        return; // already resident
-    cache_.insert(blk, CacheState::Shared);
-    CacheLine *line = cache_.find(blk);
-    line->version = msg.version;
-    forwardFills_.inc();
 }
 
 void

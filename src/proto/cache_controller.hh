@@ -7,6 +7,8 @@
  * and writeback requests, and hosts the self-invalidation predictor:
  * every completed touch is reported to the predictor, and a last-touch
  * prediction (or a DSI candidate flush) turns into a SelfInv message.
+ * Data arrives only as the reply (DataS/DataX) to the node's own
+ * outstanding request.
  *
  * Predictor modes:
  *  - Off:     base system, no predictor activity at all.
@@ -120,7 +122,6 @@ class CacheController : public SelfInvalidationPort
     };
 
     void handleData(const Message &msg);
-    void handleForward(const Message &msg);
     void handleInvOrWbReq(const Message &msg);
 
     /** Report a completed touch to the predictor and act on the answer. */
@@ -158,7 +159,6 @@ class CacheController : public SelfInvalidationPort
     Counter &predNotPredicted_;
     Counter &predMispredicted_;
     Counter &selfInvsIssued_;
-    Counter &forwardFills_;
     Average &missLatency_;
 };
 

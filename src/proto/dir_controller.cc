@@ -45,8 +45,7 @@ DirController::DirController(NodeId node, ParallelScheduler &sched,
       selfInvTimelyCorrect_(stats.counter("dir.selfInvTimelyCorrect")),
       selfInvLateCorrect_(stats.counter("dir.selfInvLateCorrect")),
       selfInvPremature_(stats.counter("dir.selfInvPremature")),
-      staleDrops_(stats.counter("dir.staleDrops")),
-      forwards_(stats.counter("dir.forwards"))
+      staleDrops_(stats.counter("dir.staleDrops"))
 {
 }
 
@@ -98,7 +97,7 @@ DirController::process(const Queued &q)
             deferred_[msg.addr].push_back(q);
             return params_.engineOverhead;
         }
-        return handleRequest(msg);
+        return handleRequest(msg, e);
       }
       case MsgType::InvAck:
       case MsgType::WbData:
@@ -114,7 +113,7 @@ DirController::process(const Queued &q)
             deferred_[msg.addr].push_back(q);
             return params_.engineOverhead;
         }
-        return handleSelfInvOrEvict(msg);
+        return handleSelfInvOrEvict(msg, e);
       }
       default:
         assert(false && "unexpected message at directory");
@@ -125,14 +124,11 @@ DirController::process(const Queued &q)
 Verification
 DirController::processVerification(const Message &msg, DirEntry &e)
 {
-    NodeId r = msg.src;
-    Addr blk = msg.addr;
     Verification verdict = Verification::None;
-
-    if (e.inVerifMask(r)) {
+    if (e.inVerifMask(msg.src)) {
         // The node that self-invalidated is back for the block: its
         // self-invalidation was premature.
-        e.clearVerif(r);
+        e.clearVerif(msg.src);
         selfInvPremature_.inc();
         verdict = Verification::Premature;
     }
@@ -146,226 +142,133 @@ DirController::processVerification(const Message &msg, DirEntry &e)
     while (confirm) {
         NodeId n = NodeId(__builtin_ctzll(confirm));
         confirm &= confirm - 1;
-        bool timely = e.clearVerif(n);
-        if (timely)
-            selfInvTimelyCorrect_.inc();
-        else
-            selfInvLateCorrect_.inc();
-        reportVerdict(n, blk, /*premature=*/false, timely);
+        reportCorrect(n, msg.addr, e.clearVerif(n));
     }
     return verdict;
 }
 
 void
-DirController::reportVerdict(NodeId n, Addr blk, bool premature,
-                             bool timely)
+DirController::reportCorrect(NodeId n, Addr blk, bool timely)
 {
+    (timely ? selfInvTimelyCorrect_ : selfInvLateCorrect_).inc();
     if (!verifyHook_)
         return;
     // The verdict trains another node's predictor, so it crosses shards
     // like a message: one hop later, on its own channel, without NI
     // occupancy. The delay is never below the engine's window.
     sched_.post(n, eq_.now() + verifyDelay_, chan::verify(node_, n),
-                [this, n, blk, premature, timely] {
-                    verifyHook_(n, blk, premature, timely);
+                [this, n, blk, timely] {
+                    verifyHook_(n, blk, /*premature=*/false, timely);
                 });
 }
 
 bool
-DirController::dsiCandidate(const Message &req, const DirEntry &e,
-                            bool migratory_exception) const
+DirController::dsiCandidate(const Message &req, const DirEntry &e) const
 {
-    if (migratory_exception)
-        return false;
-    if (req.version == noVersion)
-        return false; // cold access: no recorded version, not a candidate
-    return req.version != e.version;
+    // A cold access has no recorded version: not a candidate.
+    return req.version != noVersion && req.version != e.version;
 }
 
 Tick
-DirController::handleRequest(const Message &msg)
-{
-    DirEntry &e = dir_.entry(msg.addr);
-    // Only forwarding reads the sharing predictor (predictNext below);
-    // with it off, training would just grow the per-block tables.
-    if (params_.enableForwarding)
-        sharing_.observeRequest(msg.addr, msg.src);
-    if (msg.type == MsgType::GetS)
-        return handleGetS(msg, e);
-    return handleGetX(msg, e);
-}
-
-Tick
-DirController::handleGetS(const Message &msg, DirEntry &e)
+DirController::handleRequest(const Message &msg, DirEntry &e)
 {
     Verification verdict = processVerification(msg, e);
     NodeId r = msg.src;
-    Addr blk = msg.addr;
+    bool write = msg.type == MsgType::GetX;
 
-    switch (e.state) {
-      case DirState::Idle:
-      case DirState::Shared: {
-        e.state = DirState::Shared;
-        e.addSharer(r);
-        Message reply;
-        reply.type = MsgType::DataS;
-        reply.src = node_;
-        reply.dst = r;
-        reply.addr = blk;
-        reply.version = e.version;
-        reply.dsiCandidate = dsiCandidate(msg, e, false);
-        reply.verification = verdict;
-        Tick latency = params_.engineOverhead + params_.memAccess;
-        sendData(reply, latency);
-        return latency;
-      }
-      case DirState::Exclusive: {
+    if (e.state == DirState::Idle || (e.state == DirState::Shared && !write))
+        return grant(msg, e, verdict, /*upgrade=*/false);
+    if (e.state == DirState::Shared && e.sharers == bitOf(r))
+        return grant(msg, e, verdict, /*upgrade=*/true);
+
+    // Another cache holds a conflicting copy: lock the block and recall
+    // the copy from the owner, or every other sharer's copy.
+    Txn txn;
+    txn.req = msg;
+    txn.verdict = verdict;
+    Message recall;
+    recall.src = node_;
+    recall.addr = msg.addr;
+    recall.requester = r;
+    if (e.state == DirState::Exclusive) {
         assert(e.owner != r && "owner re-requesting its own block");
-        e.busy = true;
-        Txn txn;
-        txn.req = msg;
         txn.awaitingWb = true;
-        txn.verdict = verdict;
-        txns_[blk] = txn;
-        Message wb;
-        wb.type = MsgType::WbReq;
-        wb.src = node_;
-        wb.dst = e.owner;
-        wb.addr = blk;
-        wb.requester = r;
-        send(wb, params_.engineOverhead);
-        return params_.engineOverhead;
-      }
-    }
-    return params_.engineOverhead;
-}
-
-Tick
-DirController::handleGetX(const Message &msg, DirEntry &e)
-{
-    Verification verdict = processVerification(msg, e);
-    NodeId r = msg.src;
-    Addr blk = msg.addr;
-
-    switch (e.state) {
-      case DirState::Idle: {
-        bool cand = dsiCandidate(msg, e, false);
-        // The reply carries the version of the data as fetched; the
-        // grantee's own write bumps the directory version past it, so a
-        // re-fetching writer compares unequal (actively shared).
-        std::uint64_t fetched_version = e.version;
-        e.state = DirState::Exclusive;
-        e.owner = r;
-        e.version++;
-        Message reply;
-        reply.type = MsgType::DataX;
-        reply.src = node_;
-        reply.dst = r;
-        reply.addr = blk;
-        reply.version = fetched_version;
-        reply.dsiCandidate = cand;
-        reply.verification = verdict;
-        Tick latency = params_.engineOverhead + params_.memAccess;
-        sendData(reply, latency);
-        return latency;
-      }
-      case DirState::Shared: {
-        bool sole = (e.sharers == bitOf(r));
-        if (sole) {
-            // Upgrade by the only sharer: the migratory pattern DSI
-            // deliberately refuses to mark as a candidate (Section 5.1).
-            e.removeSharer(r);
-            std::uint64_t fetched_version = e.version;
-            e.state = DirState::Exclusive;
-            e.owner = r;
-            e.version++;
-            Message reply;
-            reply.type = MsgType::DataX;
-            reply.src = node_;
-            reply.dst = r;
-            reply.addr = blk;
-            reply.version = fetched_version;
-            reply.dsiCandidate = false;
-            reply.verification = verdict;
-            Tick latency = params_.engineOverhead;
-            sendData(reply, latency);
-            return latency;
-        }
-        e.busy = true;
-        Txn txn;
-        txn.req = msg;
-        txn.requesterHadCopy = e.isSharer(r);
-        if (txn.requesterHadCopy)
-            e.removeSharer(r);
+        recall.type = MsgType::WbReq;
+        recall.dst = e.owner;
+        send(recall, params_.engineOverhead);
+    } else {
+        e.removeSharer(r);
         txn.pendingAcks = e.numSharers();
         assert(txn.pendingAcks > 0);
-        std::uint64_t sharers = e.sharers;
-        while (sharers) {
-            NodeId n = NodeId(__builtin_ctzll(sharers));
-            sharers &= sharers - 1;
-            Message inv;
-            inv.type = MsgType::Inv;
-            inv.src = node_;
-            inv.dst = n;
-            inv.addr = blk;
-            inv.requester = r;
-            send(inv, params_.engineOverhead);
+        recall.type = MsgType::Inv;
+        for (std::uint64_t s = e.sharers; s; s &= s - 1) {
+            recall.dst = NodeId(__builtin_ctzll(s));
+            send(recall, params_.engineOverhead);
         }
-        txn.verdict = verdict;
-        txns_[blk] = txn;
-        return params_.engineOverhead;
-      }
-      case DirState::Exclusive: {
-        assert(e.owner != r && "owner issuing GetX for its own block");
-        e.busy = true;
-        Txn txn;
-        txn.req = msg;
-        txn.awaitingWb = true;
-        txn.verdict = verdict;
-        txns_[blk] = txn;
-        Message wb;
-        wb.type = MsgType::WbReq;
-        wb.src = node_;
-        wb.dst = e.owner;
-        wb.addr = blk;
-        wb.requester = r;
-        send(wb, params_.engineOverhead);
-        return params_.engineOverhead;
-      }
     }
+    e.busy = true;
+    txns_[msg.addr] = txn;
     return params_.engineOverhead;
 }
 
 Tick
-DirController::handleAck(const Message &msg)
+DirController::grant(const Message &req, DirEntry &e, Verification verdict,
+                     bool upgrade)
 {
-    Addr blk = msg.addr;
-    Txn *txnp = txns_.find(blk);
-    if (!txnp) {
-        staleDrops_.inc();
-        return params_.engineOverhead;
+    NodeId r = req.src;
+    Message reply;
+    reply.src = node_;
+    reply.dst = r;
+    reply.addr = req.addr;
+    // The reply carries the version of the data as fetched; an exclusive
+    // grant bumps the directory version past it, so a re-fetching writer
+    // compares unequal (actively shared). A sole sharer's upgrade is the
+    // migratory pattern DSI deliberately refuses to mark as a candidate
+    // (Section 5.1).
+    reply.version = e.version;
+    reply.dsiCandidate = !upgrade && dsiCandidate(req, e);
+    reply.verification = verdict;
+    if (req.type == MsgType::GetX) {
+        reply.type = MsgType::DataX;
+        e.state = DirState::Exclusive;
+        e.sharers = 0;
+        e.owner = r;
+        e.version++;
+    } else {
+        reply.type = MsgType::DataS;
+        e.state = DirState::Shared;
+        e.owner = invalidNode;
+        e.addSharer(r);
     }
-    Txn &txn = *txnp;
-    DirEntry &e = dir_.entry(blk);
 
-    if (msg.type == MsgType::WbData) {
-        if (!txn.awaitingWb) {
-            staleDrops_.inc();
-            return params_.engineOverhead;
-        }
-        txn.awaitingWb = false;
-        return completeWithWriteback(blk, e, txn);
-    }
+    // The reply window: keep the block busy while the data is assembled.
+    // Any new request for the block, or a flush racing the reply, is
+    // deferred until the data is on the wire, which (with FIFO channels)
+    // guarantees the requester's fill arrives before any invalidation we
+    // later send it. One event sends the data and then unlocks the
+    // block, so nothing can run between the two. An upgrading sharer
+    // already holds the data: no memory access.
+    Tick latency = params_.engineOverhead + (upgrade ? 0 : params_.memAccess);
+    e.busy = true;
+    eq_.scheduleIn(latency, [this, reply] {
+        net_.send(reply);
+        unlock(reply.addr);
+    });
+    return latency;
+}
 
-    // InvAck
-    if (txn.awaitingWb) {
-        // Ack from an owner that had already shipped its copy home; the
-        // data message (FIFO-ordered ahead of this ack) finished the
-        // transaction or will: this ack carries no information.
-        staleDrops_.inc();
-        return params_.engineOverhead;
-    }
-    NodeId n = msg.src;
+Tick
+DirController::complete(DirEntry &e, Txn &txn)
+{
+    Addr blk = txn.req.addr;
+    Tick latency = grant(txn.req, e, txn.verdict, /*upgrade=*/false);
+    txns_.erase(blk);
+    return latency;
+}
+
+Tick
+DirController::countAck(DirEntry &e, Txn &txn, NodeId n)
+{
     if (txn.ackedNodes & bitOf(n)) {
         staleDrops_.inc();
         return params_.engineOverhead;
@@ -374,68 +277,30 @@ DirController::handleAck(const Message &msg)
     e.removeSharer(n);
     assert(txn.pendingAcks > 0);
     if (--txn.pendingAcks == 0)
-        return completeInvalidation(blk, e, txn);
+        return complete(e, txn);
     return params_.engineOverhead;
 }
 
 Tick
-DirController::completeWithWriteback(Addr blk, DirEntry &e, Txn &txn)
+DirController::handleAck(const Message &msg)
 {
-    NodeId r = txn.req.src;
-    bool cand = dsiCandidate(txn.req, e, false);
-    e.owner = invalidNode;
-
-    Message reply;
-    reply.src = node_;
-    reply.dst = r;
-    reply.addr = blk;
-    reply.dsiCandidate = cand;
-    reply.verification = txn.verdict;
-    reply.version = e.version; // version of the data as fetched
-    if (txn.req.type == MsgType::GetX) {
-        e.state = DirState::Exclusive;
-        e.owner = r;
-        e.version++;
-        reply.type = MsgType::DataX;
-    } else {
-        e.state = DirState::Shared;
-        e.sharers = 0;
-        e.addSharer(r);
-        reply.type = MsgType::DataS;
+    // A WbData answers the WbReq and an InvAck the Inv fan-out. Anything
+    // else is stale: no transaction, or an InvAck from an owner whose
+    // copy had already left for home (FIFO-ordered ahead of this ack).
+    Txn *txn = txns_.find(msg.addr);
+    bool wb = msg.type == MsgType::WbData;
+    if (!txn || txn->awaitingWb != wb) {
+        staleDrops_.inc();
+        return params_.engineOverhead;
     }
-    Tick latency = params_.engineOverhead + params_.memAccess;
-    sendData(reply, latency);
-    txns_.erase(blk);
-    return latency;
+    DirEntry &e = dir_.entry(msg.addr);
+    if (wb)
+        return complete(e, *txn);
+    return countAck(e, *txn, msg.src);
 }
 
 Tick
-DirController::completeInvalidation(Addr blk, DirEntry &e, Txn &txn)
-{
-    NodeId r = txn.req.src;
-    bool cand = dsiCandidate(txn.req, e, false);
-    std::uint64_t fetched_version = e.version;
-    e.state = DirState::Exclusive;
-    e.sharers = 0;
-    e.owner = r;
-    e.version++;
-
-    Message reply;
-    reply.type = MsgType::DataX;
-    reply.src = node_;
-    reply.dst = r;
-    reply.addr = blk;
-    reply.version = fetched_version;
-    reply.dsiCandidate = cand;
-    reply.verification = txn.verdict;
-    Tick latency = params_.engineOverhead + params_.memAccess;
-    sendData(reply, latency);
-    txns_.erase(blk);
-    return latency;
-}
-
-Tick
-DirController::handleSelfInvOrEvict(const Message &msg)
+DirController::handleSelfInvOrEvict(const Message &msg, DirEntry &e)
 {
     Addr blk = msg.addr;
     NodeId n = msg.src;
@@ -443,91 +308,44 @@ DirController::handleSelfInvOrEvict(const Message &msg)
                    msg.type == MsgType::SelfInvX;
     bool is_x = msg.type == MsgType::SelfInvX ||
                 msg.type == MsgType::EvictX;
-    DirEntry &e = dir_.entry(blk);
-    Txn *txnp = txns_.find(blk);
 
-    if (e.busy && txnp) {
-        Txn &txn = *txnp;
-        if (txn.awaitingWb && is_x && e.owner == n) {
-            // The copy we asked the owner to write back was already on
-            // its way home: consume it as the writeback. A
-            // self-invalidation landing here was correct but late.
-            if (is_self) {
-                selfInvLateCorrect_.inc();
-                reportVerdict(n, blk, false, /*timely=*/false);
-            }
-            txn.awaitingWb = false;
-            txn.ackedNodes |= bitOf(n);
-            return completeWithWriteback(blk, e, txn);
-        }
-        if (!txn.awaitingWb && !is_x && e.isSharer(n)) {
-            // Racing a pending invalidation fan-out: count as the ack.
-            if (is_self) {
-                selfInvLateCorrect_.inc();
-                reportVerdict(n, blk, false, /*timely=*/false);
-            }
-            if (!(txn.ackedNodes & bitOf(n))) {
-                txn.ackedNodes |= bitOf(n);
-                e.removeSharer(n);
-                assert(txn.pendingAcks > 0);
-                if (--txn.pendingAcks == 0)
-                    return completeInvalidation(blk, e, txn);
-            }
+    if (Txn *txn = txns_.find(blk)) {
+        // The copy crossed our recall on its way home: the owner's copy
+        // stands in for the writeback, a sharer's drop for its ack. A
+        // self-invalidation landing here was correct but late.
+        bool answers = txn->awaitingWb ? is_x && e.owner == n
+                                       : !is_x && e.isSharer(n);
+        if (!answers) {
+            staleDrops_.inc();
             return params_.engineOverhead;
         }
-        staleDrops_.inc();
-        return params_.engineOverhead;
+        if (is_self)
+            reportCorrect(n, blk, /*timely=*/false);
+        if (txn->awaitingWb)
+            return complete(e, *txn);
+        return countAck(e, *txn, n);
     }
 
-    // No transaction in flight: the self-invalidation reached home ahead
-    // of any subsequent request — it is (so far) timely.
-    if (is_x) {
-        if (e.state == DirState::Exclusive && e.owner == n) {
-            e.state = DirState::Idle;
-            e.owner = invalidNode;
-            // Sharing-prediction extension: hand the fresh data
-            // straight to the predicted next consumer.
-            if (is_self && params_.enableForwarding) {
-                if (auto next = sharing_.predictNext(blk, n);
-                    next && *next != n) {
-                    // The forward itself proves the self-invalidation
-                    // correct and timely (the consumer never needs to
-                    // ask).
-                    selfInvTimelyCorrect_.inc();
-                    reportVerdict(n, blk, /*premature=*/false, true);
-                    e.state = DirState::Shared;
-                    e.addSharer(*next);
-                    forwards_.inc();
-                    Message fwd;
-                    fwd.type = MsgType::DataFwd;
-                    fwd.src = node_;
-                    fwd.dst = *next;
-                    fwd.addr = blk;
-                    fwd.version = e.version;
-                    Tick latency =
-                        params_.engineOverhead + params_.memAccess;
-                    sendData(fwd, latency);
-                    return latency;
-                }
-            }
-            if (is_self) {
-                e.setVerif(n, /*timely=*/true);
-                e.writeCopyMask |= bitOf(n);
-            }
-            return params_.engineOverhead + params_.memAccess;
-        }
+    bool holds = is_x ? e.state == DirState::Exclusive && e.owner == n
+                      : e.isSharer(n);
+    if (!holds) {
         staleDrops_.inc();
         return params_.engineOverhead;
     }
-    if (e.isSharer(n)) {
-        e.removeSharer(n);
-        if (e.state == DirState::Shared && e.numSharers() == 0)
-            e.state = DirState::Idle;
+    // No transaction in flight: the self-invalidation reached home ahead
+    // of any subsequent request — it is (so far) timely.
+    if (is_self)
+        e.setVerif(n, /*timely=*/true);
+    if (is_x) {
         if (is_self)
-            e.setVerif(n, /*timely=*/true);
-        return params_.engineOverhead;
+            e.writeCopyMask |= bitOf(n);
+        e.state = DirState::Idle;
+        e.owner = invalidNode;
+        return params_.engineOverhead + params_.memAccess;
     }
-    staleDrops_.inc();
+    e.removeSharer(n);
+    if (e.numSharers() == 0)
+        e.state = DirState::Idle;
     return params_.engineOverhead;
 }
 
@@ -535,16 +353,6 @@ void
 DirController::send(Message msg, Tick delay)
 {
     eq_.scheduleIn(delay, [this, msg] { net_.send(msg); });
-}
-
-void
-DirController::sendData(Message msg, Tick delay)
-{
-    dir_.entry(msg.addr).busy = true;
-    eq_.scheduleIn(delay, [this, msg] {
-        net_.send(msg);
-        unlock(msg.addr);
-    });
 }
 
 void

@@ -7,6 +7,13 @@
  * the self-invalidation handling and verification mask of Section 4, and
  * DSI's write-versioning.
  *
+ * One request runs one transaction. It is granted at once when no other
+ * cache holds a conflicting copy; otherwise the directory locks the block
+ * and recalls the copies, a WbReq to the owner or an Inv to each sharer.
+ * Each answer (WbData, InvAck, or a SelfInv/Evict that crossed the
+ * recall) is counted in one place, and the last one completes the
+ * transaction with the same grant an uncontended request gets.
+ *
  * Timing follows the paper's methodology: an aggressive two-stage
  * pipelined protocol engine. Messages queue FIFO at the controller; the
  * engine starts a new message every (service latency / 2) cycles and a
@@ -24,7 +31,6 @@
 #include "net/message.hh"
 #include "net/topo/interconnect.hh"
 #include "proto/directory.hh"
-#include "proto/sharing_predictor.hh"
 #include "sim/event_queue.hh"
 #include "sim/flat_map.hh"
 #include "sim/par/parallel_scheduler.hh"
@@ -44,12 +50,6 @@ struct DirParams
     /** Two-stage pipelining: engine accepts a new message every
      *  latency/2 cycles. When false the engine is a simple server. */
     bool pipelined = true;
-    /**
-     * Extension (Section 2's "in the limit" remark): learn requester
-     * succession per block and forward self-invalidated data to the
-     * predicted next consumer instead of parking it at home.
-     */
-    bool enableForwarding = false;
 };
 
 /**
@@ -67,7 +67,9 @@ class DirController
 {
   public:
     /** (node, blk, premature, timely) — verification outcome for node.
-     *  Runs on node's shard, one network hop after the verdict. */
+     *  Runs on node's shard, one network hop after the verdict. The hook
+     *  only ever hears of correct self-invalidations (premature is
+     *  false): a premature one travels on the data reply instead. */
     using VerifyHook = std::function<void(NodeId, Addr, bool, bool)>;
 
     DirController(NodeId node, ParallelScheduler &sched, Interconnect &net,
@@ -100,7 +102,6 @@ class DirController
         bool awaitingWb = false;  //!< WbReq outstanding to the old owner
         unsigned pendingAcks = 0; //!< Inv acks still outstanding
         std::uint64_t ackedNodes = 0;
-        bool requesterHadCopy = false;
         /** Verification verdict to piggyback on the reply. */
         Verification verdict = Verification::None;
     };
@@ -109,16 +110,25 @@ class DirController
     /** Process one message; returns its service latency. */
     Tick process(const Queued &q);
 
-    Tick handleRequest(const Message &msg);
-    Tick handleGetS(const Message &msg, DirEntry &e);
-    Tick handleGetX(const Message &msg, DirEntry &e);
+    /** A GetS or GetX for the unlocked block @p e. */
+    Tick handleRequest(const Message &msg, DirEntry &e);
+    /** An InvAck or WbData answering a recall. */
     Tick handleAck(const Message &msg);
-    Tick handleSelfInvOrEvict(const Message &msg);
+    /** A SelfInv or Evict flush of block @p e, outside a reply window. */
+    Tick handleSelfInvOrEvict(const Message &msg, DirEntry &e);
 
-    /** Complete a writeback-style transaction with data from @p from. */
-    Tick completeWithWriteback(Addr blk, DirEntry &e, Txn &txn);
-    /** Finish a GetX transaction once all invalidations are acked. */
-    Tick completeInvalidation(Addr blk, DirEntry &e, Txn &txn);
+    /**
+     * Grant @p req's requester the block, Shared for a GetS and
+     * Exclusive for a GetX, and send the data reply carrying @p verdict.
+     * An @p upgrade (a sole sharer's GetX) needs no memory access and is
+     * never a DSI candidate.
+     */
+    Tick grant(const Message &req, DirEntry &e, Verification verdict,
+               bool upgrade);
+    /** Grant the transaction's request and end the transaction. */
+    Tick complete(DirEntry &e, Txn &txn);
+    /** Count sharer @p n's answer to the Inv fan-out. */
+    Tick countAck(DirEntry &e, Txn &txn, NodeId n);
 
     /**
      * Run the Section 4 verification-mask logic for an incoming request.
@@ -126,26 +136,14 @@ class DirController
      */
     Verification processVerification(const Message &msg, DirEntry &e);
 
-    /** Deliver a verification verdict to @p n's hook one hop later. */
-    void reportVerdict(NodeId n, Addr blk, bool premature, bool timely);
+    /** Count @p n's self-invalidation of @p blk as correct, and deliver
+     *  the verdict to @p n's hook one hop later. */
+    void reportCorrect(NodeId n, Addr blk, bool timely);
 
     /** Compute the DSI candidate bit for a data reply. */
-    bool dsiCandidate(const Message &req, const DirEntry &e,
-                      bool migratory_exception) const;
+    bool dsiCandidate(const Message &req, const DirEntry &e) const;
 
     void send(Message msg, Tick delay);
-
-    /**
-     * Send the data message @p msg (a reply, or a forward) @p delay
-     * ticks from now, and keep its block busy until then: the reply
-     * window, while the data is still being assembled. Any new request
-     * for the block, or a flush racing the reply, is deferred until the
-     * data is on the wire, which (with FIFO channels) guarantees the
-     * receiver's fill arrives before any invalidation we later send it.
-     * One event sends the data and then unlocks the block, so nothing
-     * can run between the two.
-     */
-    void sendData(Message msg, Tick delay);
     void unlock(Addr blk);
 
     NodeId node_;
@@ -162,7 +160,6 @@ class DirController
     FlatMap<Addr, std::deque<Queued>> deferred_;
 
     VerifyHook verifyHook_;
-    SharingPredictor sharing_;
 
     Average &queueing_;
     Average &service_;
@@ -171,7 +168,6 @@ class DirController
     Counter &selfInvLateCorrect_;
     Counter &selfInvPremature_;
     Counter &staleDrops_;
-    Counter &forwards_;
 };
 
 } // namespace ltp

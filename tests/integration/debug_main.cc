@@ -3,8 +3,11 @@
 //   ltp_debug [kernel] [iterScale] [nodes] [pred] [mode] [topo] [routing]
 //             [threads]
 //
-// `threads` (or LTP_SIM_THREADS) selects the parallel engine's shard
-// count; the dump is bit-identical for every value.
+// `pred` is one of base, dsi, last-pc, ltp, ltp-global; `mode` is
+// active (the default) or passive. An unknown predictor, mode, topology
+// or routing name exits 2. `threads` (or LTP_SIM_THREADS) selects the
+// parallel engine's shard count; the dump is bit-identical for every
+// value.
 //
 // Observability (all observer-only — the dump does not change):
 //   LTP_TRACE=t.json            capture a Chrome/Perfetto trace
@@ -23,6 +26,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -44,18 +48,26 @@ runDebug(int argc, char **argv)
     ltp::SystemParams sp;
     sp.numNodes = argc > 3 ? std::atoi(argv[3]) : 32;
     if (argc > 4) {
-        std::string pred = argv[4];
-        if (pred == "ltp")
-            sp.predictor = ltp::PredictorKind::LtpPerBlock;
-        else if (pred == "dsi")
-            sp.predictor = ltp::PredictorKind::Dsi;
-        else if (pred == "last-pc")
-            sp.predictor = ltp::PredictorKind::LastPc;
-        else if (pred == "ltp-global")
-            sp.predictor = ltp::PredictorKind::LtpGlobal;
-        sp.mode = argc > 5 && std::string(argv[5]) == "passive"
-                      ? ltp::PredictorMode::Passive
-                      : ltp::PredictorMode::Active;
+        std::optional<ltp::PredictorKind> pred;
+        for (auto k : {ltp::PredictorKind::Base, ltp::PredictorKind::Dsi,
+                       ltp::PredictorKind::LastPc,
+                       ltp::PredictorKind::LtpPerBlock,
+                       ltp::PredictorKind::LtpGlobal}) {
+            if (std::string(argv[4]) == ltp::predictorKindName(k))
+                pred = k;
+        }
+        if (!pred) {
+            std::cerr << "unknown predictor '" << argv[4] << "'\n";
+            return 2;
+        }
+        sp.predictor = *pred;
+        std::string mode = argc > 5 ? argv[5] : "active";
+        if (mode != "active" && mode != "passive") {
+            std::cerr << "unknown mode '" << mode << "'\n";
+            return 2;
+        }
+        sp.mode = mode == "passive" ? ltp::PredictorMode::Passive
+                                    : ltp::PredictorMode::Active;
     }
     if (argc > 6) {
         auto topo = ltp::parseTopologyKind(argv[6]);

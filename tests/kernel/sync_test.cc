@@ -48,20 +48,10 @@ class SyncTest : public ::testing::Test
         }
         for (NodeId n = 0; n < kNodes; ++n) {
             net_->setSink(n, [this, n](const Message &m) {
-                switch (m.type) {
-                  case MsgType::GetS:
-                  case MsgType::GetX:
-                  case MsgType::InvAck:
-                  case MsgType::WbData:
-                  case MsgType::SelfInvS:
-                  case MsgType::SelfInvX:
-                  case MsgType::EvictS:
-                  case MsgType::EvictX:
+                if (routesToDirectory(m.type))
                     dirs_[n]->receive(m);
-                    break;
-                  default:
+                else
                     caches_[n]->receive(m);
-                }
             });
         }
     }

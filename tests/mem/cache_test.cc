@@ -49,17 +49,16 @@ TEST(CacheUnbounded, InvalidateRemovesButKeepsMetadata)
     EXPECT_EQ(any->version, 7u);
 }
 
-TEST(CacheUnbounded, ReinsertPreservesVersion)
+TEST(CacheUnbounded, ReinsertMakesLineResident)
 {
     Cache c(32);
     c.insert(0x100, CacheState::Shared);
-    c.find(0x100)->version = 7;
     c.invalidate(0x100);
     c.insert(0x100, CacheState::Exclusive);
     CacheLine *l = c.find(0x100);
     ASSERT_NE(l, nullptr);
     EXPECT_EQ(l->state, CacheState::Exclusive);
-    EXPECT_EQ(l->version, 7u);
+    EXPECT_EQ(c.residentBlocks(), 1u);
 }
 
 TEST(CacheUnbounded, Downgrade)

@@ -53,20 +53,10 @@ class ProtocolTest : public ::testing::Test
     void
     deliver(NodeId n, const Message &m)
     {
-        switch (m.type) {
-          case MsgType::GetS:
-          case MsgType::GetX:
-          case MsgType::InvAck:
-          case MsgType::WbData:
-          case MsgType::SelfInvS:
-          case MsgType::SelfInvX:
-          case MsgType::EvictS:
-          case MsgType::EvictX:
+        if (routesToDirectory(m.type))
             dirs_[n]->receive(m);
-            break;
-          default:
+        else
             caches_[n]->receive(m);
-        }
     }
 
     /** Issue an access from node @p n and run to completion. */

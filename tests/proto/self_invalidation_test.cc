@@ -77,20 +77,10 @@ class SelfInvTest : public ::testing::Test
         }
         for (NodeId n = 0; n < kNodes; ++n) {
             net_->setSink(n, [this, n](const Message &m) {
-                switch (m.type) {
-                  case MsgType::GetS:
-                  case MsgType::GetX:
-                  case MsgType::InvAck:
-                  case MsgType::WbData:
-                  case MsgType::SelfInvS:
-                  case MsgType::SelfInvX:
-                  case MsgType::EvictS:
-                  case MsgType::EvictX:
+                if (routesToDirectory(m.type))
                     dirs_[n]->receive(m);
-                    break;
-                  default:
+                else
                     caches_[n]->receive(m);
-                }
             });
             dirs_[n]->setVerifyHook([this](NodeId who, Addr blk,
                                            bool premature, bool timely) {
@@ -114,6 +104,25 @@ class SelfInvTest : public ::testing::Test
         sched_.runUntil(tickNever);
         EXPECT_TRUE(done);
         return latency;
+    }
+
+    /** Start an access from node @p n; @p done flips when it completes. */
+    void
+    issue(NodeId n, Addr addr, bool write, bool &done)
+    {
+        caches_[n]->access(addr, 0x1000, write,
+                           [&done](Tick, bool) { done = true; });
+    }
+
+    /** Run tick by tick until @p blk's home locks it for a transaction,
+     *  the tick at which the home sends its recall. */
+    void
+    runUntilLocked(Addr blk)
+    {
+        for (Tick t = eq_.now(); !dirEntry(blk).busy; ++t) {
+            ASSERT_LT(t, Tick(10000)) << "the home never locked the block";
+            sched_.runUntil(t);
+        }
     }
 
     DirEntry &
@@ -242,6 +251,63 @@ TEST_F(SelfInvTest, StaleDropsStayZeroInCleanRuns)
     access(2, blkB, false, true);
     access(3, blkB, true, true);
     EXPECT_EQ(stats_.counterValue("dir.staleDrops"), 0u);
+}
+
+TEST_F(SelfInvTest, OwnerSelfInvCrossingWbReqServesAsWriteback)
+{
+    // Node 0 owns the block, and node 2's read makes the home send node
+    // 0 a WbReq. Node 0 self-invalidates the moment the home locks the
+    // block, so its SelfInvX and the WbReq cross in flight.
+    access(0, blkB, true);
+    bool done = false;
+    issue(2, blkB, false, done);
+    runUntilLocked(blkB);
+    caches_[0]->requestSelfInvalidate(blkB);
+    sched_.runUntil(tickNever);
+
+    ASSERT_TRUE(done);
+    DirEntry &e = dirEntry(blkB);
+    EXPECT_EQ(e.state, DirState::Shared);
+    EXPECT_EQ(e.sharers, std::uint64_t(1) << 2);
+    EXPECT_EQ(e.owner, invalidNode);
+    EXPECT_EQ(caches_[2]->cache().state(blkB), CacheState::Shared);
+    EXPECT_EQ(caches_[0]->cache().state(blkB), CacheState::Invalid);
+    // The SelfInvX stood in for the writeback: correct, but late...
+    EXPECT_EQ(stats_.counterValue("dir.selfInvLateCorrect"), 1u);
+    EXPECT_EQ(stats_.counterValue("dir.selfInvTimelyCorrect"), 0u);
+    EXPECT_FALSE(e.inVerifMask(0));
+    EXPECT_EQ(preds_[0]->corrects, 1);
+    // ...and node 0's plain InvAck for the WbReq found no transaction.
+    EXPECT_EQ(stats_.counterValue("dir.staleDrops"), 1u);
+}
+
+TEST_F(SelfInvTest, SharerSelfInvCrossingInvCountsAsItsAck)
+{
+    // Nodes 0 and 2 share the block, and node 3's write makes the home
+    // send each an Inv. Node 2 self-invalidates the moment the home
+    // locks the block, so its SelfInvS and the Inv cross in flight.
+    access(0, blkB, false);
+    access(2, blkB, false);
+    bool done = false;
+    issue(3, blkB, true, done);
+    runUntilLocked(blkB);
+    caches_[2]->requestSelfInvalidate(blkB);
+    sched_.runUntil(tickNever);
+
+    ASSERT_TRUE(done);
+    DirEntry &e = dirEntry(blkB);
+    EXPECT_EQ(e.state, DirState::Exclusive);
+    EXPECT_EQ(e.owner, NodeId(3));
+    EXPECT_EQ(e.sharers, 0u);
+    EXPECT_EQ(caches_[3]->cache().state(blkB), CacheState::Exclusive);
+    EXPECT_EQ(preds_[0]->invalidations, 1);
+    // The SelfInvS counted as node 2's ack: correct, but late...
+    EXPECT_EQ(stats_.counterValue("dir.selfInvLateCorrect"), 1u);
+    EXPECT_EQ(stats_.counterValue("dir.selfInvTimelyCorrect"), 0u);
+    EXPECT_FALSE(e.inVerifMask(2));
+    EXPECT_EQ(preds_[2]->corrects, 1);
+    // ...so node 2's plain InvAck, answering the Inv, was stale.
+    EXPECT_EQ(stats_.counterValue("dir.staleDrops"), 1u);
 }
 
 TEST_F(SelfInvTest, DsiCandidateBitSetForActivelySharedBlock)

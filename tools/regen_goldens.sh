@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Regenerate the committed golden outputs of the figure/table benches.
+# Regenerate the committed golden outputs of the figure/table/ablation
+# benches.
 #
 #   $ tools/regen_goldens.sh [build-dir] [output-dir]
 #
@@ -15,6 +16,7 @@ build_dir="${1:-build}"
 out_dir="${2:-bench/golden}"
 
 benches=(
+    bench_ablation
     bench_fig6_accuracy
     bench_fig7_signature
     bench_fig8_global
