@@ -5,6 +5,12 @@
  * the fraction of correct self-invalidations that reach the directory
  * before the next request (timeliness).
  *
+ * Each message is sampled once, on the protocol-engine pass that serves
+ * it. Queueing runs from its arrival at the directory to the start of
+ * that pass, including any time it spent parked on a busy block;
+ * service is that pass's latency. The passes that only park a message
+ * again are not samples.
+ *
  * Paper shapes to expect: DSI's synchronization-triggered bursts blow
  * directory queueing up by orders of magnitude, while LTP's queueing
  * stays near the base system's; LTP self-invalidations are >90% timely

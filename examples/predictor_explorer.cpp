@@ -18,7 +18,7 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -69,9 +69,10 @@ main(int argc, char **argv)
 
     unsigned sim_threads = 1;
     if (argc > 4) {
-        sim_threads = unsigned(std::atoi(argv[4]));
-        if (sim_threads == 0) {
-            std::fprintf(stderr, "threads must be >= 1\n");
+        try {
+            sim_threads = parseSimThreads(argv[4]);
+        } catch (const std::invalid_argument &e) {
+            std::fprintf(stderr, "%s\n", e.what());
             return 1;
         }
     }

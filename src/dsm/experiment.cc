@@ -1,7 +1,10 @@
 #include "dsm/experiment.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -28,6 +31,25 @@ parseSimThreads(const char *text)
     return unsigned(value);
 }
 
+unsigned
+scaleIterations(unsigned iters, double scale)
+{
+    std::ostringstream err;
+    if (!(scale > 0) || !std::isfinite(scale)) {
+        err << "iterScale must be a positive finite number, got " << scale;
+        throw std::invalid_argument(err.str());
+    }
+    if (scale == 1.0)
+        return iters;
+    double scaled = std::round(iters * scale);
+    if (scaled > double(std::numeric_limits<unsigned>::max())) {
+        err << "iterScale " << scale << " scales " << iters
+            << " iterations out of range";
+        throw std::invalid_argument(err.str());
+    }
+    return std::max(1u, unsigned(scaled));
+}
+
 RunResult
 runExperiment(const ExperimentSpec &spec)
 {
@@ -52,10 +74,7 @@ runExperiment(const ExperimentSpec &spec)
     KernelConfig cfg =
         spec.config ? *spec.config : defaultConfig(spec.kernel);
     cfg.nodes = sp.numNodes;
-    if (spec.iterScale != 1.0) {
-        cfg.iters = std::max(
-            1u, unsigned(std::llround(cfg.iters * spec.iterScale)));
-    }
+    cfg.iters = scaleIterations(cfg.iters, spec.iterScale);
 
     DsmSystem sys(sp);
     auto kernel = makeKernel(spec.kernel);

@@ -72,6 +72,13 @@ struct ExperimentSpec
 RunResult runExperiment(const ExperimentSpec &spec);
 
 /**
+ * @p iters scaled by @p scale (ExperimentSpec::iterScale), rounded to
+ * the nearest count and at least 1. Throws std::invalid_argument unless
+ * @p scale is positive and finite and the scaled count fits.
+ */
+unsigned scaleIterations(unsigned iters, double scale);
+
+/**
  * Parse an LTP_SIM_THREADS-style thread count. Accepts exactly a
  * decimal integer in [1, 256]; anything else (non-numeric text, zero,
  * trailing junk, absurd values) throws std::invalid_argument with a

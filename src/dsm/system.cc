@@ -23,6 +23,12 @@ namespace
 ShardPlan
 planFor(const SystemParams &params)
 {
+    if (params.numNodes == 0 || params.numNodes > maxNodes) {
+        throw std::invalid_argument(
+            "SystemParams::numNodes must be in [1, " +
+            std::to_string(maxNodes) + "], got " +
+            std::to_string(params.numNodes));
+    }
     if (params.simThreads == 0 || params.simThreads > maxSimThreads) {
         throw std::invalid_argument(
             "SystemParams::simThreads must be in [1, " +

@@ -151,11 +151,14 @@ struct Message
     std::string describe() const;
 };
 
-// The size contract the netSeq/netVcFlags padding games maintain — and
-// the unit the message pool's cache-line slot math is built on.
+// The size contract the netSeq/netVcFlags padding games maintain.
+// Messages travel by value in the network's event captures, and the
+// largest of those (a routed hop: this + link + VC + Message) fills
+// SmallFunction's inline buffer exactly, so a larger Message fails
+// that capture's SmallFunction::fitsInline static_assert.
 static_assert(sizeof(Message) == 56, "Message grew past 56 bytes");
 static_assert(std::is_trivially_copyable_v<Message>,
-              "Message must stay a POD: it is copied into slab storage");
+              "Message must stay a POD: every hop copies it");
 
 } // namespace ltp
 

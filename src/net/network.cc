@@ -11,12 +11,12 @@ Network::send(Message msg)
 
     // The receiver-side hand-off: egress serialization + flight is the
     // model's cross-node lookahead (networkLookahead), so the post
-    // always clears the parallel engine's window. Only the pooled
-    // handle crosses the shard boundary.
+    // always clears the parallel engine's window.
     Tick arrive = egressDone(msg) + params_.flightLatency;
-    MsgHandle h = pool().alloc(sched().shardOf(msg.src), msg);
+    auto arrival = [this, msg] { arriveAtIngress(msg); };
+    static_assert(SmallFunction::fitsInline<decltype(arrival)>());
     sched().post(msg.dst, arrive, chan::pair(msg.src, msg.dst, numNodes()),
-                 [this, h] { arriveAtIngress(h); });
+                 arrival);
 }
 
 } // namespace ltp

@@ -15,7 +15,9 @@
 #ifndef LTP_NET_NETWORK_HH
 #define LTP_NET_NETWORK_HH
 
-#include "net/ni_interconnect.hh"
+#include <cassert>
+
+#include "net/topo/interconnect.hh"
 
 namespace ltp
 {
@@ -24,21 +26,18 @@ namespace ltp
  * The paper's interconnect. Local (src == dst) messages bypass the
  * network entirely and are delivered after a single 1-cycle delay.
  */
-class Network : public NiInterconnect
+class Network : public Interconnect
 {
   public:
     Network(ParallelScheduler &sched, NodeId num_nodes,
             NetworkParams params)
-        : NiInterconnect(sched, num_nodes, params)
+        : Interconnect(sched, num_nodes, params)
     {
+        assert(params_.topology == TopologyKind::PointToPoint &&
+               "use RoutedNetwork for the routed topologies");
     }
 
     void send(Message msg) override;
-
-    TopologyKind topology() const override
-    {
-        return TopologyKind::PointToPoint;
-    }
 };
 
 } // namespace ltp

@@ -1,34 +1,54 @@
 /**
  * @file
- * The abstract interconnect every DSM component talks to, plus the
- * timing/topology knobs shared by all implementations.
+ * The interconnect every DSM component talks to, plus the
+ * timing/topology knobs shared by all models.
  *
- * Implementations:
+ * Interconnect holds what every model shares: injection accounting, the
+ * local-delivery bypass, the egress/ingress network-interface (NI) FIFO
+ * servers, and end-to-end latency sampling (Average plus Histogram, both
+ * named `net.endToEndLatency`). So the NI contention and latency
+ * accounting of all models are identical by construction. A model
+ * supplies only send(), the path from the egress NI to the ingress NI:
  *  - Network (net/network.hh): the paper's point-to-point model —
- *    constant flight latency, contention only at the network interfaces.
- *    This is the default; it keeps every figure benchmark bit-identical.
+ *    constant flight latency, contention only at the NIs. This is the
+ *    default; it keeps every figure benchmark bit-identical.
  *  - RoutedNetwork (net/topo/routed_network.hh): topology-aware
  *    mesh/torus/ring where every router/link is a FIFO server, so
  *    latency depends on hop count and congestion.
  *
- * Every implementation preserves the pairwise (src, dst) FIFO delivery
+ * Messages travel by value: each hop's event captures the 56-byte
+ * Message, and every capture fits SmallFunction's inline buffer (a
+ * static_assert of SmallFunction::fitsInline at each capture site keeps
+ * it there), so a hop's event costs no allocation.
+ *
+ * Sharding: every piece of NI state is owned by one node — the egress
+ * server by the sender, the ingress queue and reorder state by the
+ * receiver — and every event here runs on the owning node's queue
+ * (ParallelScheduler::queueFor). Statistics are per-shard handles
+ * merged after the run. The only cross-node step, handing a message
+ * from the sender's fabric to the receiver, is the model's post() call.
+ *
+ * Every model preserves the pairwise (src, dst) FIFO delivery
  * invariant the coherence protocol relies on.
  */
 
 #ifndef LTP_NET_TOPO_INTERCONNECT_HH
 #define LTP_NET_TOPO_INTERCONNECT_HH
 
+#include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "net/message.hh"
 #include "net/topo/topology.hh"
+#include "sim/par/parallel_scheduler.hh"
+#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace ltp
 {
-
-class ParallelScheduler;
 
 /** Timing and topology knobs for the interconnect. */
 struct NetworkParams
@@ -105,9 +125,9 @@ struct NetLookahead
 NetLookahead networkLookahead(const NetworkParams &params);
 
 /**
- * Abstract message transport between DSM nodes.
+ * Message transport between DSM nodes.
  *
- * Contract (all implementations):
+ * Contract (all models):
  *  - send() never delivers synchronously; the sink runs in a later event.
  *  - Local (src == dst) messages bypass the network and arrive after a
  *    nominal 1-cycle delay.
@@ -119,16 +139,76 @@ class Interconnect
     using Sink = std::function<void(const Message &)>;
 
     virtual ~Interconnect() = default;
+    // Scheduled events hold `this`.
+    Interconnect(const Interconnect &) = delete;
+    Interconnect &operator=(const Interconnect &) = delete;
 
     /** Register the message consumer for @p node. */
-    virtual void setSink(NodeId node, Sink sink) = 0;
+    void setSink(NodeId node, Sink sink);
 
     /** Inject @p msg; it will be delivered to msg.dst's sink later. */
     virtual void send(Message msg) = 0;
 
-    virtual NodeId numNodes() const = 0;
-    virtual TopologyKind topology() const = 0;
-    virtual const NetworkParams &params() const = 0;
+    NodeId numNodes() const { return NodeId(sinks_.size()); }
+    TopologyKind topology() const { return params_.topology; }
+    const NetworkParams &params() const { return params_; }
+
+  protected:
+    Interconnect(ParallelScheduler &sched, NodeId num_nodes,
+                 NetworkParams params);
+
+    /** The queue @p node's events run on. */
+    EventQueue &q(NodeId node) { return sched_.queueFor(node); }
+
+    ParallelScheduler &sched() { return sched_; }
+
+    Tick niOccupancy(const Message &m) const
+    {
+        return carriesData(m.type) ? params_.dataOccupancy
+                                   : params_.controlOccupancy;
+    }
+
+    /**
+     * Stamp and count an injected message; when src == dst, schedule the
+     * 1-cycle local-delivery bypass and return true (nothing further for
+     * the model to do).
+     */
+    bool injectLocalOrCount(Message &msg);
+
+    /** Serialize @p msg through its egress NI; returns the clear tick. */
+    Tick egressDone(const Message &msg);
+
+    /** Hand @p msg (arriving from the model's fabric) to dst's NI.
+     *  Runs on the destination node's shard. */
+    void arriveAtIngress(const Message &msg);
+
+    /** Sample latency stats and hand the message to its sink. */
+    virtual void deliver(const Message &msg);
+
+    NetworkParams params_;
+
+  private:
+    /** Schedule @p msg's service at its ingress NI (ends occupancy from
+     *  now). */
+    void serveIngress(const Message &msg);
+
+    ParallelScheduler &sched_;
+
+    // Shared stat names, one handle per shard (merged after the run).
+    std::vector<Counter *> msgsSent_;
+    std::vector<Counter *> dataMsgs_;
+    std::vector<Average *> endToEndLatency_;
+    std::vector<Histogram *> latencyHist_;
+
+    /** Earliest tick each egress NI is free. */
+    std::vector<Tick> niEgressFree_;
+    /** Per-ingress-NI FIFO of arrived-but-undelivered messages. */
+    std::vector<std::deque<Message>> ingressQueue_;
+    /** Nonzero while an ingress NI drain event is scheduled. One byte
+     *  per node: nodes on different shards write their flags
+     *  concurrently, and vector<bool> would pack them into shared words. */
+    std::vector<std::uint8_t> ingressBusy_;
+    std::vector<Sink> sinks_;
 };
 
 /**

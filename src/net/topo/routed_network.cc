@@ -25,7 +25,7 @@ linkStatName(const char *what, NodeId from, NodeId to)
 
 RoutedNetwork::RoutedNetwork(ParallelScheduler &sched, NodeId num_nodes,
                              NetworkParams params)
-    : NiInterconnect(sched, num_nodes, params),
+    : Interconnect(sched, num_nodes, params),
       geom_(params.topology, num_nodes, params.meshWidth),
       linkIdx_(std::size_t(num_nodes) * num_nodes, -1),
       sendSeq_(std::size_t(num_nodes) * num_nodes, 0),
@@ -135,17 +135,16 @@ RoutedNetwork::send(Message msg)
 
     msg.netSeq = sendSeq_[pairKey(msg.src, msg.dst)]++;
     msg.netVcFlags = 0;
-    NodeId src = msg.src;
     Tick clear = egressDone(msg);
-    MsgHandle h = pool().alloc(sched().shardOf(src), msg);
-    q(src).scheduleAt(clear, [this, src, h] { forward(src, h, -1, 0); });
+    auto injected = [this, msg] { forward(msg.src, msg, -1, 0); };
+    static_assert(SmallFunction::fitsInline<decltype(injected)>());
+    q(msg.src).scheduleAt(clear, injected);
 }
 
 void
-RoutedNetwork::forward(NodeId at, MsgHandle h, std::int32_t in_link,
+RoutedNetwork::forward(NodeId at, const Message &msg, std::int32_t in_link,
                        std::uint8_t in_vc)
 {
-    const Message &msg = pool().at(h);
     std::size_t l;
     std::uint8_t vc;
     if (params_.routing == RoutingPolicy::DimensionOrder) {
@@ -169,14 +168,23 @@ RoutedNetwork::forward(NodeId at, MsgHandle h, std::int32_t in_link,
         l = routeLink(at, cands[pick]);
         vc = adaptiveVc(links_[l]);
     }
-    enqueue(l, Entry{h, vc, in_link, in_vc});
+    enqueue(l, Entry{msg, in_link, vc, in_vc});
 }
 
 void
 RoutedNetwork::enqueue(std::size_t l, Entry e)
 {
     Link &link = links_[l];
-    link.q.push_back(std::move(e));
+    if (!link.draining && link.q.empty() && linkIdle(link) &&
+        hasCredit(link, e.vc)) {
+        // Uncontended: exactly the grant drainLink() would make at this
+        // tick. Skipping the queue round trip spares the deque's block
+        // churn (libstdc++ allocates a block per 8 queued 64-byte
+        // entries).
+        grantAt(l, e, q(link.from).now());
+        return;
+    }
+    link.q.push_back(e);
     pump(l);
 }
 
@@ -252,10 +260,10 @@ RoutedNetwork::drainLink(std::size_t l)
         if (i < link.q.size()) {
             if (start != now && i != 0)
                 break; // virtual-time overtake: re-decide at freeAt
-            Entry e = std::move(link.q[i]);
+            Entry e = link.q[i];
             link.q.erase(link.q.begin() +
                          std::deque<Entry>::difference_type(i));
-            grantAt(l, std::move(e), start);
+            grantAt(l, e, start);
             start = link.freeAt;
             if (link.q.empty())
                 break;
@@ -278,10 +286,10 @@ RoutedNetwork::drainLink(std::size_t l)
         if (blocked == link.q.size())
             break; // only escape traffic left; credits will re-kick us
 
-        Entry e = std::move(link.q[blocked]);
+        Entry e = link.q[blocked];
         link.q.erase(link.q.begin() +
                      std::deque<Entry>::difference_type(blocked));
-        const Message &msg = pool().at(e.h);
+        const Message &msg = e.msg;
         escapeReroutes_[sched().shardOf(link.from)]->inc();
         sched().tracer().instant(obs::Cat::Link, link.from,
                                  "escape reroute", q(link.from).now(),
@@ -292,9 +300,9 @@ RoutedNetwork::drainLink(std::size_t l)
         if (el == l)
             link.q.insert(link.q.begin() +
                               std::deque<Entry>::difference_type(blocked),
-                          std::move(e));
+                          e);
         else
-            enqueue(el, std::move(e));
+            enqueue(el, e);
     }
 
     link.draining = false;
@@ -308,7 +316,7 @@ RoutedNetwork::drainLink(std::size_t l)
 }
 
 void
-RoutedNetwork::grantAt(std::size_t l, Entry e, Tick start)
+RoutedNetwork::grantAt(std::size_t l, Entry &e, Tick start)
 {
     Link &link = links_[l];
     if (bounded()) {
@@ -319,8 +327,7 @@ RoutedNetwork::grantAt(std::size_t l, Entry e, Tick start)
             scheduleCreditReturn(std::size_t(e.inLink), e.inVc, start);
     }
 
-    Message &msg = pool().at(e.h);
-    Tick ser = serializationTicks(msg);
+    Tick ser = serializationTicks(e.msg);
     const guard::FaultPlan &faults = sched().faults();
     if (faults.on(guard::FaultKind::LinkStall)) {
         // Deterministic jitter: a pure hash of (seed, link, grant
@@ -337,10 +344,9 @@ RoutedNetwork::grantAt(std::size_t l, Entry e, Tick start)
     sched().tracer().span(obs::Cat::Link, link.from, "grant", start,
                           start + ser, link.to, e.vc);
 
-    // The in-flight message has exactly one logical owner (this grant),
-    // so the dateline stamp mutates it in place.
+    // Crossing the dateline switches this dimension's escape VC.
     if (link.wrap)
-        msg.netVcFlags |= std::uint8_t(1u << link.dim);
+        e.msg.netVcFlags |= std::uint8_t(1u << link.dim);
 
     // Serialize on the link, then fly one hop and clear the next router's
     // pipeline. Departures from a link are credit-gated but same-VC FIFO,
@@ -356,10 +362,11 @@ RoutedNetwork::grantAt(std::size_t l, Entry e, Tick start)
     link.freeAt = done;
 
     Tick arrive = done + params_.hopLatency + params_.routerLatency;
-    std::uint8_t vc = e.vc;
-    MsgHandle h = e.h;
-    sched().post(link.to, arrive, chan::link(l),
-                 [this, l, vc, h] { arriveAtRouter(l, vc, h); });
+    auto hop = [this, l32 = std::uint32_t(l), vc = e.vc, msg = e.msg] {
+        arriveAtRouter(l32, vc, msg);
+    };
+    static_assert(SmallFunction::fitsInline<decltype(hop)>());
+    sched().post(link.to, arrive, chan::link(l), hop);
 }
 
 void
@@ -394,33 +401,33 @@ RoutedNetwork::scheduleCreditReturn(std::size_t l, std::uint8_t vc,
 }
 
 void
-RoutedNetwork::arriveAtRouter(std::size_t l, std::uint8_t vc, MsgHandle h)
+RoutedNetwork::arriveAtRouter(std::uint32_t l, std::uint8_t vc,
+                              const Message &msg)
 {
     NodeId at = links_[l].to;
-    if (at == pool().at(h).dst) {
+    if (at == msg.dst) {
         // Ejection is always available, so the input-buffer slot frees
         // immediately.
         if (bounded())
             scheduleCreditReturn(l, vc, q(at).now());
-        reorderDeliver(h);
+        reorderDeliver(msg);
         return;
     }
-    forward(at, h, std::int32_t(l), vc);
+    forward(at, msg, std::int32_t(l), vc);
 }
 
 void
-RoutedNetwork::reorderDeliver(MsgHandle h)
+RoutedNetwork::reorderDeliver(const Message &msg)
 {
-    const Message &msg = pool().at(h);
     PairState &ps = pairs_[pairKey(msg.src, msg.dst)];
     if (msg.netSeq != ps.nextSeq) {
         // An earlier injection of this pair is still in flight (adaptive
         // or oblivious routing took a different path); park this one.
         reorderHeld_[sched().shardOf(msg.dst)]->inc();
-        ps.pending.emplace(msg.netSeq, h);
+        ps.pending.emplace(msg.netSeq, msg);
         return;
     }
-    arriveAtIngress(h);
+    arriveAtIngress(msg);
     ++ps.nextSeq;
     for (auto it = ps.pending.find(ps.nextSeq); it != ps.pending.end();
          it = ps.pending.find(ps.nextSeq)) {
@@ -431,12 +438,11 @@ RoutedNetwork::reorderDeliver(MsgHandle h)
 }
 
 void
-RoutedNetwork::deliver(MsgHandle h)
+RoutedNetwork::deliver(const Message &msg)
 {
-    const Message &msg = pool().at(h);
     hopsPerMsg_[sched().shardOf(msg.dst)]->sample(
         double(geom_.hopCount(msg.src, msg.dst)));
-    NiInterconnect::deliver(h);
+    Interconnect::deliver(msg);
 }
 
 void
@@ -447,7 +453,7 @@ RoutedNetwork::guardCheckQuiesce() const
         std::string where = "link " + std::to_string(link.from) + "->" +
                             std::to_string(link.to);
         if (!link.q.empty()) {
-            const Message &first = pool().at(link.q.front().h);
+            const Message &first = link.q.front().msg;
             throw guard::CheckFailure(
                 where + " still holds " + std::to_string(link.q.size()) +
                 " waiting message(s) at quiesce (first: " +

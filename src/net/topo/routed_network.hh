@@ -40,7 +40,7 @@
  * adaptive messages that fell back to the escape path and
  * `net.reorderHeld` messages parked in the ingress reorder buffer. The
  * NI model and latency statistics are shared with the point-to-point
- * network (see net/ni_interconnect.hh).
+ * network (see net/topo/interconnect.hh).
  */
 
 #ifndef LTP_NET_TOPO_ROUTED_NETWORK_HH
@@ -51,7 +51,7 @@
 #include <map>
 #include <vector>
 
-#include "net/ni_interconnect.hh"
+#include "net/topo/interconnect.hh"
 #include "net/topo/topology.hh"
 #include "sim/rng.hh"
 
@@ -59,15 +59,13 @@ namespace ltp
 {
 
 /** Mesh/torus/ring interconnect with VC routers and credited links. */
-class RoutedNetwork : public NiInterconnect
+class RoutedNetwork : public Interconnect
 {
   public:
     RoutedNetwork(ParallelScheduler &sched, NodeId num_nodes,
                   NetworkParams params);
 
     void send(Message msg) override;
-
-    TopologyKind topology() const override { return params_.topology; }
 
     const TopologyGeometry &geometry() const { return geom_; }
     std::size_t numLinks() const { return links_.size(); }
@@ -113,16 +111,17 @@ class RoutedNetwork : public NiInterconnect
     void guardCheckQuiesce() const;
 
   private:
-    /** A message waiting in an input buffer for one output link —
-     *  16 bytes of handle + routing state, not a 56-byte Message copy. */
+    /** A message waiting in an input buffer for one output link. */
     struct Entry
     {
-        MsgHandle h;
-        std::uint8_t vc = 0;     //!< VC requested on this output link
+        Message msg;
         std::int32_t inLink = -1; //!< upstream link whose buffer holds the
                                   //!< message (-1: injection queue)
+        std::uint8_t vc = 0;      //!< VC requested on this output link
         std::uint8_t inVc = 0;
     };
+    static_assert(sizeof(Entry) == 64,
+                  "a queue entry is its Message plus 8 bytes of routing");
 
     /**
      * One directed physical channel between adjacent routers.
@@ -152,13 +151,13 @@ class RoutedNetwork : public NiInterconnect
         std::uint64_t faultGrants = 0;
     };
 
-    /** Per-(src, dst) ingress reordering state. Parked messages stay in
-     *  the pool; the sorted map keys netSeq -> handle (quiesce reporting
-     *  reads the smallest parked sequence off begin()). */
+    /** Per-(src, dst) ingress reordering state. The sorted map keys
+     *  netSeq -> parked message (quiesce reporting reads the smallest
+     *  parked sequence off begin()). */
     struct PairState
     {
         std::uint32_t nextSeq = 0;
-        std::map<std::uint32_t, MsgHandle> pending;
+        std::map<std::uint32_t, Message> pending;
     };
 
     int linkIndex(NodeId from, NodeId to) const;
@@ -194,10 +193,10 @@ class RoutedNetwork : public NiInterconnect
         return q(link.from).now() >= link.freeAt;
     }
 
-    /** Route @p h's message (now at router @p at) onto its next output
-     *  link. */
-    void forward(NodeId at, MsgHandle h, std::int32_t in_link,
+    /** Route @p msg (now at router @p at) onto its next output link. */
+    void forward(NodeId at, const Message &msg, std::int32_t in_link,
                  std::uint8_t in_vc);
+    /** Queue @p e for link @p l; an uncontended hop is granted at once. */
     void enqueue(std::size_t l, Entry e);
     /** Arbitrate now if the link is idle, else arm the link engine. */
     void pump(std::size_t l);
@@ -213,16 +212,17 @@ class RoutedNetwork : public NiInterconnect
      */
     void drainLink(std::size_t l);
     /** Grant @p e the wire at tick @p start (>= now within a batch). */
-    void grantAt(std::size_t l, Entry e, Tick start);
+    void grantAt(std::size_t l, Entry &e, Tick start);
     /** The wire-delayed credit for one freed (link, VC) buffer slot,
      *  departing at tick @p from (the grant's virtual start). */
     void scheduleCreditReturn(std::size_t l, std::uint8_t vc, Tick from);
-    void arriveAtRouter(std::size_t l, std::uint8_t vc, MsgHandle h);
+    void arriveAtRouter(std::uint32_t l, std::uint8_t vc,
+                        const Message &msg);
     /** Pairwise-FIFO restoration in front of the ingress NI. */
-    void reorderDeliver(MsgHandle h);
+    void reorderDeliver(const Message &msg);
 
     /** Adds the route-length sample to the shared delivery stats. */
-    void deliver(MsgHandle h) override;
+    void deliver(const Message &msg) override;
 
     TopologyGeometry geom_;
     unsigned numVcs_ = 1;

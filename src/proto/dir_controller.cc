@@ -64,9 +64,12 @@ DirController::engineKick()
     Queued q = inq_.front();
     inq_.pop_front();
 
-    queueing_.sample(double(eq_.now() - q.arrival));
-    Tick latency = process(q);
-    service_.sample(double(latency));
+    std::optional<Tick> served = process(q);
+    Tick latency = served.value_or(params_.engineOverhead);
+    if (served) {
+        queueing_.sample(double(eq_.now() - q.arrival));
+        service_.sample(double(latency));
+    }
     // One directory transaction: arrival through queueing and service,
     // named by the message that drove it, requester in a0.
     sched_.tracer().span(obs::Cat::Directory, node_,
@@ -82,21 +85,21 @@ DirController::engineKick()
     });
 }
 
-Tick
+std::optional<Tick>
 DirController::process(const Queued &q)
 {
     const Message &msg = q.msg;
     switch (msg.type) {
       case MsgType::GetS:
       case MsgType::GetX: {
-        requests_.inc();
         DirEntry &e = dir_.entry(msg.addr);
         if (e.busy) {
             // Block-level serialization: park the request until the
             // in-flight transaction completes.
             deferred_[msg.addr].push_back(q);
-            return params_.engineOverhead;
+            return std::nullopt;
         }
+        requests_.inc();
         return handleRequest(msg, e);
       }
       case MsgType::InvAck:
@@ -111,7 +114,7 @@ DirController::process(const Queued &q)
             // A data reply for this block is still being assembled
             // (reply window): park the flush until it is on the wire.
             deferred_[msg.addr].push_back(q);
-            return params_.engineOverhead;
+            return std::nullopt;
         }
         return handleSelfInvOrEvict(msg, e);
       }

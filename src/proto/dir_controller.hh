@@ -19,7 +19,10 @@
  * engine starts a new message every (service latency / 2) cycles and a
  * message's protocol actions complete after its full service latency.
  * Queueing delay and service time per message are the observables of
- * Table 4.
+ * Table 4. A message that finds its block busy costs the engine a pass
+ * that parks it; it is counted and sampled once, on the pass that
+ * serves it: queueing from its arrival to that pass (parked time
+ * included), service that pass's latency.
  */
 
 #ifndef LTP_PROTO_DIR_CONTROLLER_HH
@@ -27,6 +30,7 @@
 
 #include <deque>
 #include <functional>
+#include <optional>
 
 #include "net/message.hh"
 #include "net/topo/interconnect.hh"
@@ -107,8 +111,9 @@ class DirController
     };
 
     void engineKick();
-    /** Process one message; returns its service latency. */
-    Tick process(const Queued &q);
+    /** Serve one message and return its service latency, or park it
+     *  on its busy block and return nothing. */
+    std::optional<Tick> process(const Queued &q);
 
     /** A GetS or GetX for the unlocked block @p e. */
     Tick handleRequest(const Message &msg, DirEntry &e);

@@ -29,11 +29,17 @@ enum class DirState : std::uint8_t
 
 const char *dirStateName(DirState s);
 
+/**
+ * The most nodes a system can have: a DirEntry's sharer and verification
+ * masks hold one bit per node.
+ */
+constexpr NodeId maxNodes = 64;
+
 /** Per-block directory record. */
 struct DirEntry
 {
     DirState state = DirState::Idle;
-    /** Full-map sharer bit vector (supports up to 64 nodes). */
+    /** Full-map sharer bit vector, one bit per node (maxNodes). */
     std::uint64_t sharers = 0;
     NodeId owner = invalidNode;
 

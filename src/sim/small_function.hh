@@ -38,14 +38,27 @@ class SmallFunction
 {
   public:
     /**
-     * Sized for the largest hot-path lambda: the cache controller's
+     * Sized for the largest hot-path lambdas: the cache controller's
      * access-completion captures (this + Addr + Pc + flags + a 32-byte
-     * std::function + Tick = 72). Network events got far smaller when
-     * messages started traveling as 8-byte pool handles
-     * (net/message_pool.hh), which is what let this drop from 96 and
-     * with it every event slot and mailbox ring item.
+     * std::function + Tick = 72) and a routed network hop, which
+     * carries its 56-byte Message by value (this + 32-bit link + VC +
+     * Message = 72). Every network capture that holds a Message
+     * static_asserts fitsInline(), so a hop never spills to the heap.
+     * The size is also every event slot's and mailbox ring item's.
      */
     static constexpr std::size_t inlineSize = 72;
+
+    /** True iff a callable of type @p Fn is stored inline, with no
+     *  heap allocation: it fits the buffer, needs no stricter alignment
+     *  than max_align_t and moves without throwing. */
+    template <typename Fn>
+    static constexpr bool
+    fitsInline()
+    {
+        return sizeof(Fn) <= inlineSize &&
+               alignof(Fn) <= alignof(std::max_align_t) &&
+               std::is_nothrow_move_constructible_v<Fn>;
+    }
 
     SmallFunction() = default;
 
@@ -138,15 +151,6 @@ class SmallFunction
             *reinterpret_cast<Fn **>(buf_) = new Fn(std::forward<F>(f));
             ops_ = &heapOps<Fn>;
         }
-    }
-
-    template <typename Fn>
-    static constexpr bool
-    fitsInline()
-    {
-        return sizeof(Fn) <= inlineSize &&
-               alignof(Fn) <= alignof(std::max_align_t) &&
-               std::is_nothrow_move_constructible_v<Fn>;
     }
 
     template <typename Fn>

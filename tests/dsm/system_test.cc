@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 
 #include "dsm/experiment.hh"
@@ -74,6 +75,19 @@ TEST(SimThreads, SystemRejectsOutOfRangeThreadCounts)
 
     SystemParams max_ok;
     max_ok.simThreads = maxSimThreads; // clamped to numNodes by the plan
+    EXPECT_NO_THROW(DsmSystem{max_ok});
+}
+
+TEST(DsmSystem, RejectsNodeCountsTheDirectoryMasksCannotHold)
+{
+    // Node 64 would alias node 0 in every sharer and verification mask.
+    for (NodeId nodes : {NodeId(0), maxNodes + 1}) {
+        SystemParams p;
+        p.numNodes = nodes;
+        EXPECT_THROW(DsmSystem{p}, std::invalid_argument) << nodes;
+    }
+    SystemParams max_ok;
+    max_ok.numNodes = maxNodes;
     EXPECT_NO_THROW(DsmSystem{max_ok});
 }
 
@@ -163,6 +177,18 @@ TEST(Experiment, IterScaleShortensRun)
     full.iterScale = 0.5;
     RunResult half = runExperiment(full);
     EXPECT_LT(quarter.cycles, half.cycles);
+}
+
+TEST(Experiment, ScaleIterationsRoundsAndRejectsBadScales)
+{
+    EXPECT_EQ(scaleIterations(40, 1.0), 40u);
+    EXPECT_EQ(scaleIterations(40, 0.3), 12u);
+    EXPECT_EQ(scaleIterations(40, 0.001), 1u); // never below one
+    // A negative scale once wrapped to about 4.3 billion iterations.
+    for (double bad : {-1.0, 0.0, std::nan(""), HUGE_VAL, 1e30}) {
+        EXPECT_THROW(scaleIterations(40, bad), std::invalid_argument)
+            << bad;
+    }
 }
 
 TEST(Experiment, NodeOverrideWorks)

@@ -5,9 +5,10 @@
 //
 // `pred` is one of base, dsi, last-pc, ltp, ltp-global; `mode` is
 // active (the default) or passive. An unknown predictor, mode, topology
-// or routing name exits 2. `threads` (or LTP_SIM_THREADS) selects the
-// parallel engine's shard count; the dump is bit-identical for every
-// value.
+// or routing name exits 2, as does an `iterScale` or `nodes` that is
+// not a whole number or an `iterScale` that is not positive. `threads`
+// (or LTP_SIM_THREADS) selects the parallel engine's shard count; the
+// dump is bit-identical for every value.
 //
 // Observability (all observer-only — the dump does not change):
 //   LTP_TRACE=t.json            capture a Chrome/Perfetto trace
@@ -23,8 +24,9 @@
 //   LTP_WATCHDOG_MS / LTP_BARRIER_STALL_MS / LTP_MAX_WALL_MS /
 //   LTP_MAX_EVENTS / LTP_MAX_RSS_MB   progress/resource budgets
 //   LTP_FLIGHT_RECORDER=f.json  crash/abort flight-record dump
-#include <cmath>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <iostream>
 #include <optional>
 #include <stdexcept>
@@ -35,6 +37,19 @@
 namespace
 {
 
+/** @p text as a T, when all of it is one (no sign on an unsigned T). */
+template <typename T>
+std::optional<T>
+parseWhole(const char *text)
+{
+    T value{};
+    const char *end = text + std::strlen(text);
+    auto [stop, ec] = std::from_chars(text, end, value);
+    if (ec != std::errc() || stop != end)
+        return std::nullopt;
+    return value;
+}
+
 int
 runDebug(int argc, char **argv)
 {
@@ -42,11 +57,24 @@ runDebug(int argc, char **argv)
     spec.kernel = argc > 1 ? argv[1] : "tomcatv";
     spec.predictor = ltp::PredictorKind::Base;
     spec.mode = ltp::PredictorMode::Off;
-    if (argc > 2)
-        spec.iterScale = std::atof(argv[2]);
+    if (argc > 2) {
+        std::optional<double> scale = parseWhole<double>(argv[2]);
+        if (!scale) {
+            std::cerr << "invalid iterScale '" << argv[2] << "'\n";
+            return 2;
+        }
+        spec.iterScale = *scale;
+    }
 
     ltp::SystemParams sp;
-    sp.numNodes = argc > 3 ? std::atoi(argv[3]) : 32;
+    if (argc > 3) {
+        std::optional<ltp::NodeId> nodes = parseWhole<ltp::NodeId>(argv[3]);
+        if (!nodes) {
+            std::cerr << "invalid nodes '" << argv[3] << "'\n";
+            return 2;
+        }
+        sp.numNodes = *nodes;
+    }
     if (argc > 4) {
         std::optional<ltp::PredictorKind> pred;
         for (auto k : {ltp::PredictorKind::Base, ltp::PredictorKind::Dsi,
@@ -99,9 +127,11 @@ runDebug(int argc, char **argv)
 
     ltp::KernelConfig cfg = ltp::defaultConfig(spec.kernel);
     cfg.nodes = sp.numNodes;
-    if (spec.iterScale != 1.0) {
-        cfg.iters = std::max(
-            1u, unsigned(std::llround(cfg.iters * spec.iterScale)));
+    try {
+        cfg.iters = ltp::scaleIterations(cfg.iters, spec.iterScale);
+    } catch (const std::invalid_argument &e) {
+        std::cerr << e.what() << "\n";
+        return 2;
     }
 
     ltp::DsmSystem sys(sp);
