@@ -308,8 +308,9 @@ DsmSystem::guardQuiesceChecks() const
 
     // Directory -> cache: every sharer bit maps to a Shared copy, every
     // owner to an Exclusive copy, nothing still busy. Valid at quiesce
-    // because evictions and self-invalidations all notify home
-    // (EvictS/EvictX, SelfInvS/SelfInvX).
+    // because a copy leaves a cache only by an invalidation, which home
+    // sent, or by a self-invalidation, which notifies home (SelfInvS/
+    // SelfInvX).
     if (checks.on(obs::Cat::Directory)) {
         for (NodeId h = 0; h < params_.numNodes; ++h) {
             nodes_[h]->dirCtrl->directory().forEach([&](Addr blk,

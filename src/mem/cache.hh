@@ -2,20 +2,16 @@
  * @file
  * Per-node cache tag store for remotely-homed (shared) data.
  *
- * The paper assumes a network cache "large enough to eliminate all
- * capacity/conflict traffic", so the default configuration is an
- * unbounded tag store: every miss is a cold or coherence miss. A finite
- * set-associative mode (with LRU replacement) is provided for unit tests
- * and sensitivity studies.
+ * The paper's network cache is "large enough to eliminate all
+ * capacity/conflict traffic" (Table 1), so the tag store is unbounded:
+ * every miss is a cold or coherence miss, and a block leaves only by an
+ * invalidation or a self-invalidation.
  */
 
 #ifndef LTP_MEM_CACHE_HH
 #define LTP_MEM_CACHE_HH
 
 #include <cstdint>
-#include <list>
-#include <optional>
-#include <vector>
 
 #include "mem/addr.hh"
 #include "sim/flat_map.hh"
@@ -46,15 +42,10 @@ struct CacheLine
 class Cache
 {
   public:
-    /**
-     * @param block_size block size in bytes (power of two).
-     * @param num_sets   0 for an unbounded cache; otherwise sets count.
-     * @param ways       associativity (ignored when unbounded).
-     */
-    Cache(unsigned block_size, unsigned num_sets = 0, unsigned ways = 0);
+    /** @param block_size block size in bytes (power of two). */
+    explicit Cache(unsigned block_size) : math_(block_size) {}
 
     unsigned blockSize() const { return math_.blockSize(); }
-    bool unbounded() const { return numSets_ == 0; }
 
     /** Look up the line for @p addr; nullptr if not present. */
     CacheLine *find(Addr addr);
@@ -62,68 +53,38 @@ class Cache
 
     /**
      * Look up the bookkeeping entry for @p addr even when the block is
-     * Invalid (unbounded caches retain invalidated entries so the next
-     * request can report the DSI version of the copy it last held).
+     * Invalid (invalidated entries are retained so the next request can
+     * report the DSI version of the copy it last held).
      */
     CacheLine *findAny(Addr addr);
 
     /** State of @p addr (Invalid when absent). */
     CacheState state(Addr addr) const;
 
-    /** An eviction forced by insert() in finite mode. */
-    struct Victim
-    {
-        Addr addr;
-        CacheState state;
-    };
-
     /**
      * Insert (or upgrade) a block in @p state. A newly resident line
      * has version 0; the caller stamps the version of the data.
-     *
-     * @return the victim evicted to make room, if any (finite mode only).
      */
-    std::optional<Victim> insert(Addr addr, CacheState state);
+    void insert(Addr addr, CacheState state);
 
-    /** Drop the block entirely (invalidation / self-invalidation). */
+    /** Drop the block (invalidation / self-invalidation). */
     void invalidate(Addr addr);
-
-    /** Downgrade Exclusive -> Shared (not used by the migratory protocol
-     *  the paper models, but exercised in tests). */
-    void downgrade(Addr addr);
-
-    /** Number of resident (non-Invalid) blocks. */
-    std::size_t residentBlocks() const;
 
     /** Visit every resident block address (used by DSI's candidate walk). */
     template <typename Fn>
     void
     forEachResident(Fn &&fn) const
     {
-        for (const auto &[blk, ent] : lines_) {
-            if (ent.line.state != CacheState::Invalid)
-                fn(blk, ent.line);
+        for (const auto &[blk, line] : lines_) {
+            if (line.state != CacheState::Invalid)
+                fn(blk, line);
         }
     }
 
   private:
-    struct Entry
-    {
-        CacheLine line;
-        /** Position in the set's LRU list (finite mode only). */
-        std::list<Addr>::iterator lruPos;
-    };
-
-    std::size_t setIndex(Addr block_addr) const;
-    void touchLru(Addr block_addr, Entry &e);
-
     BlockMath math_;
-    unsigned numSets_;
-    unsigned ways_;
     /** Keyed by block-aligned address. */
-    FlatMap<Addr, Entry> lines_;
-    /** Per-set LRU order, most recent at front (finite mode only). */
-    std::vector<std::list<Addr>> lru_;
+    FlatMap<Addr, CacheLine> lines_;
 };
 
 } // namespace ltp

@@ -38,7 +38,9 @@ enum class MsgType : std::uint8_t
     // Self-invalidation (Section 4).
     SelfInvS,   //!< cache drops a Shared copy and notifies home
     SelfInvX,   //!< cache drops an Exclusive copy, carries the data home
-    // Capacity eviction (finite caches only; not a prediction).
+    // Never sent: the unbounded network cache never evicts. Kept only
+    // because bench/ltpbench/ltpbench.cc still names them; delete them
+    // with that file's next change.
     EvictS,
     EvictX,
 };
@@ -52,7 +54,6 @@ carriesData(MsgType t)
       case MsgType::DataS:
       case MsgType::DataX:
       case MsgType::SelfInvX:
-      case MsgType::EvictX:
         return true;
       default:
         return false;
@@ -61,10 +62,10 @@ carriesData(MsgType t)
 
 /**
  * True for message types a node's home directory receives: requests,
- * recall answers, self-invalidations and evictions. Every other type
- * goes to the node's cache controller. (Not `toDirectory`: ltpbench
- * keeps a file-local copy by that name, which argument-dependent lookup
- * would make ambiguous.)
+ * recall answers and self-invalidations. Every other type goes to the
+ * node's cache controller. (Not `toDirectory`: ltpbench keeps a
+ * file-local copy by that name, which argument-dependent lookup would
+ * make ambiguous.)
  */
 constexpr bool
 routesToDirectory(MsgType t)
@@ -76,8 +77,6 @@ routesToDirectory(MsgType t)
       case MsgType::WbData:
       case MsgType::SelfInvS:
       case MsgType::SelfInvX:
-      case MsgType::EvictS:
-      case MsgType::EvictX:
         return true;
       default:
         return false;

@@ -20,7 +20,7 @@ CacheController::CacheController(NodeId node, ParallelScheduler &sched,
       net_(net),
       homes_(homes),
       params_(params),
-      cache_(params.blockSize, params.numSets, params.ways),
+      cache_(params.blockSize),
       hits_(stats.counter("cache.hits")),
       misses_(stats.counter("cache.misses")),
       upgrades_(stats.counter("cache.upgrades")),
@@ -123,18 +123,8 @@ CacheController::handleData(const Message &msg)
 
     CacheState st = msg.type == MsgType::DataX ? CacheState::Exclusive
                                                : CacheState::Shared;
-    auto victim = cache_.insert(blk, st);
-    CacheLine *line = cache_.find(blk);
-    line->version = msg.version;
-    if (victim) {
-        Message ev;
-        ev.type = victim->state == CacheState::Exclusive ? MsgType::EvictX
-                                                         : MsgType::EvictS;
-        ev.src = node_;
-        ev.dst = homes_.home(victim->addr);
-        ev.addr = victim->addr;
-        send(ev, params_.ctrlOverhead);
-    }
+    cache_.insert(blk, st);
+    cache_.find(blk)->version = msg.version;
     if (pred_)
         pred_->onFillInfo(blk, FillInfo{msg.dsiCandidate});
 
@@ -173,7 +163,7 @@ CacheController::handleInvOrWbReq(const Message &msg)
         }
         externalInvalidation(blk);
     }
-    // A missing line means our SelfInv/Evict is already on its way home
+    // A missing line means our SelfInv is already on its way home
     // (FIFO channels deliver it first); the plain ack lets the directory
     // reconcile.
     send(reply, params_.ctrlOverhead);

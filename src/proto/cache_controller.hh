@@ -48,8 +48,6 @@ struct CacheParams
      *  network-cache lookup that misses before the request goes out). */
     Tick remoteLookup = 104;
     unsigned blockSize = 32;
-    unsigned numSets = 0;     //!< 0: unbounded (the paper's assumption)
-    unsigned ways = 0;
 };
 
 /** How the attached predictor participates in the run. */
@@ -130,7 +128,7 @@ class CacheController : public SelfInvalidationPort
     /** An external invalidation removed a resident block: score + learn. */
     void externalInvalidation(Addr blk);
 
-    /** Really flush @p blk home (Active mode / evictions). */
+    /** Really flush @p blk home (Active mode). */
     void selfInvalidate(Addr blk);
 
     void send(Message msg, Tick delay);

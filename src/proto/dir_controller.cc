@@ -106,9 +106,7 @@ DirController::process(const Queued &q)
       case MsgType::WbData:
         return handleAck(msg);
       case MsgType::SelfInvS:
-      case MsgType::SelfInvX:
-      case MsgType::EvictS:
-      case MsgType::EvictX: {
+      case MsgType::SelfInvX: {
         DirEntry &e = dir_.entry(msg.addr);
         if (e.busy && !txns_.contains(msg.addr)) {
             // A data reply for this block is still being assembled
@@ -116,7 +114,7 @@ DirController::process(const Queued &q)
             deferred_[msg.addr].push_back(q);
             return std::nullopt;
         }
-        return handleSelfInvOrEvict(msg, e);
+        return handleSelfInv(msg, e);
       }
       default:
         assert(false && "unexpected message at directory");
@@ -303,14 +301,11 @@ DirController::handleAck(const Message &msg)
 }
 
 Tick
-DirController::handleSelfInvOrEvict(const Message &msg, DirEntry &e)
+DirController::handleSelfInv(const Message &msg, DirEntry &e)
 {
     Addr blk = msg.addr;
     NodeId n = msg.src;
-    bool is_self = msg.type == MsgType::SelfInvS ||
-                   msg.type == MsgType::SelfInvX;
-    bool is_x = msg.type == MsgType::SelfInvX ||
-                msg.type == MsgType::EvictX;
+    bool is_x = msg.type == MsgType::SelfInvX;
 
     if (Txn *txn = txns_.find(blk)) {
         // The copy crossed our recall on its way home: the owner's copy
@@ -322,8 +317,7 @@ DirController::handleSelfInvOrEvict(const Message &msg, DirEntry &e)
             staleDrops_.inc();
             return params_.engineOverhead;
         }
-        if (is_self)
-            reportCorrect(n, blk, /*timely=*/false);
+        reportCorrect(n, blk, /*timely=*/false);
         if (txn->awaitingWb)
             return complete(e, *txn);
         return countAck(e, *txn, n);
@@ -337,11 +331,9 @@ DirController::handleSelfInvOrEvict(const Message &msg, DirEntry &e)
     }
     // No transaction in flight: the self-invalidation reached home ahead
     // of any subsequent request — it is (so far) timely.
-    if (is_self)
-        e.setVerif(n, /*timely=*/true);
+    e.setVerif(n, /*timely=*/true);
     if (is_x) {
-        if (is_self)
-            e.writeCopyMask |= bitOf(n);
+        e.writeCopyMask |= bitOf(n);
         e.state = DirState::Idle;
         e.owner = invalidNode;
         return params_.engineOverhead + params_.memAccess;

@@ -10,9 +10,9 @@
  * One request runs one transaction. It is granted at once when no other
  * cache holds a conflicting copy; otherwise the directory locks the block
  * and recalls the copies, a WbReq to the owner or an Inv to each sharer.
- * Each answer (WbData, InvAck, or a SelfInv/Evict that crossed the
- * recall) is counted in one place, and the last one completes the
- * transaction with the same grant an uncontended request gets.
+ * Each answer (WbData, InvAck, or a SelfInv that crossed the recall) is
+ * counted in one place, and the last one completes the transaction with
+ * the same grant an uncontended request gets.
  *
  * Timing follows the paper's methodology: an aggressive two-stage
  * pipelined protocol engine. Messages queue FIFO at the controller; the
@@ -119,8 +119,8 @@ class DirController
     Tick handleRequest(const Message &msg, DirEntry &e);
     /** An InvAck or WbData answering a recall. */
     Tick handleAck(const Message &msg);
-    /** A SelfInv or Evict flush of block @p e, outside a reply window. */
-    Tick handleSelfInvOrEvict(const Message &msg, DirEntry &e);
+    /** A SelfInv flush of block @p e, outside a reply window. */
+    Tick handleSelfInv(const Message &msg, DirEntry &e);
 
     /**
      * Grant @p req's requester the block, Shared for a GetS and

@@ -16,23 +16,34 @@ TEST(CacheUnbounded, MissOnEmpty)
     EXPECT_EQ(c.state(0x100), CacheState::Invalid);
 }
 
+/** Resident blocks, counted through the DSI candidate walk. */
+unsigned
+residentCount(const Cache &c)
+{
+    unsigned n = 0;
+    c.forEachResident([&](Addr, const CacheLine &) { ++n; });
+    return n;
+}
+
 TEST(CacheUnbounded, InsertAndFind)
 {
     Cache c(32);
-    EXPECT_FALSE(c.insert(0x100, CacheState::Shared).has_value());
+    c.insert(0x100, CacheState::Shared);
     CacheLine *l = c.find(0x110); // same block
     ASSERT_NE(l, nullptr);
     EXPECT_EQ(l->state, CacheState::Shared);
-    EXPECT_EQ(c.residentBlocks(), 1u);
+    EXPECT_EQ(residentCount(c), 1u);
 }
 
 TEST(CacheUnbounded, UpgradeInPlace)
 {
     Cache c(32);
     c.insert(0x100, CacheState::Shared);
+    c.find(0x100)->version = 3;
     c.insert(0x100, CacheState::Exclusive);
     EXPECT_EQ(c.state(0x100), CacheState::Exclusive);
-    EXPECT_EQ(c.residentBlocks(), 1u);
+    EXPECT_EQ(c.find(0x100)->version, 3u);
+    EXPECT_EQ(residentCount(c), 1u);
 }
 
 TEST(CacheUnbounded, InvalidateRemovesButKeepsMetadata)
@@ -53,31 +64,24 @@ TEST(CacheUnbounded, ReinsertMakesLineResident)
 {
     Cache c(32);
     c.insert(0x100, CacheState::Shared);
+    c.find(0x100)->version = 7;
     c.invalidate(0x100);
     c.insert(0x100, CacheState::Exclusive);
     CacheLine *l = c.find(0x100);
     ASSERT_NE(l, nullptr);
     EXPECT_EQ(l->state, CacheState::Exclusive);
-    EXPECT_EQ(c.residentBlocks(), 1u);
-}
-
-TEST(CacheUnbounded, Downgrade)
-{
-    Cache c(32);
-    c.insert(0x100, CacheState::Exclusive);
-    c.downgrade(0x100);
-    EXPECT_EQ(c.state(0x100), CacheState::Shared);
-    // Downgrading a Shared line is a no-op.
-    c.downgrade(0x100);
-    EXPECT_EQ(c.state(0x100), CacheState::Shared);
+    // A newly resident line starts at version 0: the fill stamps it.
+    EXPECT_EQ(l->version, 0u);
+    EXPECT_EQ(residentCount(c), 1u);
 }
 
 TEST(CacheUnbounded, NeverEvicts)
 {
     Cache c(32);
     for (Addr a = 0; a < 10000 * 32; a += 32)
-        EXPECT_FALSE(c.insert(a, CacheState::Shared).has_value());
-    EXPECT_EQ(c.residentBlocks(), 10000u);
+        c.insert(a, CacheState::Shared);
+    EXPECT_EQ(residentCount(c), 10000u);
+    EXPECT_EQ(c.state(0), CacheState::Shared);
 }
 
 TEST(CacheUnbounded, ForEachResidentSkipsInvalid)
@@ -93,51 +97,6 @@ TEST(CacheUnbounded, ForEachResidentSkipsInvalid)
         ++count;
     });
     EXPECT_EQ(count, 1u);
-}
-
-TEST(CacheFinite, EvictsLruWhenSetFull)
-{
-    Cache c(32, /*num_sets=*/1, /*ways=*/2);
-    c.insert(0x000, CacheState::Shared);
-    c.insert(0x020, CacheState::Exclusive);
-    // Touch 0x000 so 0x020 becomes LRU.
-    EXPECT_NE(c.find(0x000), nullptr);
-    c.insert(0x040, CacheState::Shared); // must evict
-    auto victim = c.insert(0x060, CacheState::Shared);
-    ASSERT_TRUE(victim.has_value());
-    EXPECT_EQ(c.residentBlocks(), 2u);
-}
-
-TEST(CacheFinite, VictimCarriesState)
-{
-    Cache c(32, 1, 1);
-    c.insert(0x000, CacheState::Exclusive);
-    auto victim = c.insert(0x020, CacheState::Shared);
-    ASSERT_TRUE(victim.has_value());
-    EXPECT_EQ(victim->addr, 0x000u);
-    EXPECT_EQ(victim->state, CacheState::Exclusive);
-}
-
-TEST(CacheFinite, DifferentSetsDoNotConflict)
-{
-    Cache c(32, 2, 1);
-    // Block 0 -> set 0, block 1 -> set 1.
-    EXPECT_FALSE(c.insert(0x000, CacheState::Shared).has_value());
-    EXPECT_FALSE(c.insert(0x020, CacheState::Shared).has_value());
-    EXPECT_EQ(c.residentBlocks(), 2u);
-}
-
-TEST(CacheFinite, LruOrderRespectsTouches)
-{
-    Cache c(32, 1, 2);
-    c.insert(0x000, CacheState::Shared);
-    c.insert(0x020, CacheState::Shared);
-    EXPECT_NE(c.find(0x000), nullptr); // 0x020 now LRU
-    auto victim = c.insert(0x040, CacheState::Shared);
-    ASSERT_TRUE(victim.has_value());
-    EXPECT_EQ(victim->addr, 0x020u);
-    EXPECT_NE(c.find(0x000), nullptr);
-    EXPECT_EQ(c.find(0x020), nullptr);
 }
 
 } // namespace
