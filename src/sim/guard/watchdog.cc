@@ -76,9 +76,11 @@ Watchdog::fire(const std::string &reason)
             return;
         reason_ = reason;
     }
-    fired_.store(true, std::memory_order_release);
+    // Abort first, then publish: whoever sees fired() also sees the
+    // abort hook's effects. Only the monitor thread calls fire().
     if (hooks_.abort)
         hooks_.abort(reason);
+    fired_.store(true, std::memory_order_release);
 }
 
 void

@@ -109,18 +109,6 @@ Histogram::reset()
     sum_ = 0.0;
 }
 
-StatId
-StatGroup::counterId(const std::string &name)
-{
-    return counters_.intern(name);
-}
-
-StatId
-StatGroup::averageId(const std::string &name)
-{
-    return averages_.intern(name);
-}
-
 Histogram &
 StatGroup::histogram(const std::string &name, double bucket_width,
                      std::size_t n_buckets)
@@ -139,27 +127,27 @@ StatGroup::histogram(const std::string &name, double bucket_width,
 std::uint64_t
 StatGroup::counterValue(const std::string &name) const
 {
-    const Counter *c = counters_.find(name);
-    return c ? c->value() : 0;
+    auto it = counters_.find(name);
+    return it == counters_.end() ? 0 : it->second.value();
 }
 
 double
 StatGroup::averageMean(const std::string &name) const
 {
-    const Average *a = averages_.find(name);
-    return a ? a->mean() : 0.0;
+    auto it = averages_.find(name);
+    return it == averages_.end() ? 0.0 : it->second.mean();
 }
 
 bool
 StatGroup::hasCounter(const std::string &name) const
 {
-    return counters_.ids.count(name) != 0;
+    return counters_.count(name) != 0;
 }
 
 bool
 StatGroup::hasAverage(const std::string &name) const
 {
-    return averages_.ids.count(name) != 0;
+    return averages_.count(name) != 0;
 }
 
 const Histogram *
@@ -179,33 +167,21 @@ std::uint64_t
 StatGroup::maxCounterValueWithPrefix(const std::string &prefix) const
 {
     std::uint64_t best = 0;
-    for (auto it = counters_.ids.lower_bound(prefix);
-         it != counters_.ids.end() && it->first.compare(0, prefix.size(),
-                                                        prefix) == 0;
+    for (auto it = counters_.lower_bound(prefix);
+         it != counters_.end() &&
+         it->first.compare(0, prefix.size(), prefix) == 0;
          ++it)
-        best = std::max(best, counters_.at(it->second).value());
+        best = std::max(best, it->second.value());
     return best;
-}
-
-std::uint64_t
-StatGroup::sumCountersWithPrefix(const std::string &prefix) const
-{
-    std::uint64_t sum = 0;
-    for (auto it = counters_.ids.lower_bound(prefix);
-         it != counters_.ids.end() && it->first.compare(0, prefix.size(),
-                                                        prefix) == 0;
-         ++it)
-        sum += counters_.at(it->second).value();
-    return sum;
 }
 
 void
 StatGroup::mergeFrom(const StatGroup &o)
 {
-    for (const auto &[name, id] : o.counters_.ids)
-        counterAt(counterId(name)).inc(o.counters_.at(id).value());
-    for (const auto &[name, id] : o.averages_.ids)
-        averageAt(averageId(name)).merge(o.averages_.at(id));
+    for (const auto &[name, c] : o.counters_)
+        counter(name).inc(c.value());
+    for (const auto &[name, a] : o.averages_)
+        average(name).merge(a);
     for (const auto &[name, h] : o.histograms_) {
         histogram(name, h.bucketWidth(), h.numBuckets()).merge(h);
     }
@@ -214,10 +190,9 @@ StatGroup::mergeFrom(const StatGroup &o)
 void
 StatGroup::dump(std::ostream &os) const
 {
-    for (const auto &[name, id] : counters_.ids)
-        os << name << " " << counters_.at(id).value() << "\n";
-    for (const auto &[name, id] : averages_.ids) {
-        const Average &a = averages_.at(id);
+    for (const auto &[name, c] : counters_)
+        os << name << " " << c.value() << "\n";
+    for (const auto &[name, a] : averages_) {
         os << name << " mean=" << std::fixed << std::setprecision(2)
            << a.mean() << " count=" << a.count() << " min=" << a.min()
            << " max=" << a.max() << "\n";
@@ -253,22 +228,20 @@ StatSnapshot
 StatGroup::snapshot() const
 {
     StatSnapshot snap;
-    for (const auto &[name, id] : counters_.ids)
-        snap.counters[name] = counters_.at(id).value();
-    for (const auto &[name, id] : averages_.ids) {
-        const Average &a = averages_.at(id);
+    for (const auto &[name, c] : counters_)
+        snap.counters[name] = c.value();
+    for (const auto &[name, a] : averages_)
         snap.averages[name] = StatSnapshot::AvgState{a.sum(), a.count()};
-    }
     return snap;
 }
 
 void
 StatGroup::resetAll()
 {
-    for (const auto &[name, id] : counters_.ids)
-        counters_.at(id).reset();
-    for (const auto &[name, id] : averages_.ids)
-        averages_.at(id).reset();
+    for (auto &[name, c] : counters_)
+        c.reset();
+    for (auto &[name, a] : averages_)
+        a.reset();
     for (auto &[name, h] : histograms_)
         h.reset();
 }

@@ -8,39 +8,23 @@
  * run. The package is intentionally simple: everything is a double or a
  * 64-bit counter, there is no hierarchy beyond the component name prefix.
  *
- * Hot-path cost model: a stat's string name is resolved exactly once, at
- * registration, into a dense StatId indexing slab-backed storage
- * (contiguous arrays of Counter/Average values, 256 per slab). A
- * per-event bump through a registered handle — or through counterAt(id)
- * — is a plain array access with no string hashing or tree walk; the
- * name registry (a sorted map, which is also what keeps dump() output
- * canonical) is only touched at registration and report time. Slabs
- * never move, so references returned by counter()/average() stay valid
- * for the group's lifetime, exactly as before.
+ * Hot-path cost model: a stat's string name is looked up once, at
+ * registration. Components keep the returned reference and bump it with
+ * no string hashing or tree walk; names are only touched again at report
+ * time.
  */
 
 #ifndef LTP_SIM_STATS_HH
 #define LTP_SIM_STATS_HH
 
-#include <array>
-#include <cassert>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
 
 namespace ltp
 {
-
-/**
- * Dense index of one registered statistic within its kind's storage
- * (counters and averages number independently). Ids are assigned in
- * registration order, starting at 0, and are stable for the group's
- * lifetime — intern a name once, bump by id ever after.
- */
-using StatId = std::uint32_t;
 
 /** A monotonically increasing 64-bit event counter. */
 class Counter
@@ -151,46 +135,18 @@ struct StatSnapshot
 /**
  * A flat, named registry of statistics.
  *
- * Names are dotted paths ("dir.0.queueing"). Registration returns a
- * reference that stays valid for the lifetime of the group.
+ * Names are dotted paths ("dir.0.queueing"). Each kind lives in a map
+ * sorted by name: the sorted iteration keeps dump() and snapshot()
+ * output canonical, and map nodes never move, so a reference returned
+ * at registration stays valid for the lifetime of the group.
  */
 class StatGroup
 {
   public:
-    Counter &counter(const std::string &name)
-    {
-        return counterAt(counterId(name));
-    }
-    Average &average(const std::string &name)
-    {
-        return averageAt(averageId(name));
-    }
-
-    /**
-     * Intern @p name into its dense counter id (registering the counter
-     * on first sight). The id indexes slab storage: resolve once, keep
-     * the id (or the counterAt() reference), bump with no lookups.
-     */
-    StatId counterId(const std::string &name);
-    StatId averageId(const std::string &name);
-
-    /** Counter storage behind @p id. @pre id came from counterId(). */
-    Counter &
-    counterAt(StatId id)
-    {
-        assert(id < counters_.count);
-        return counters_.at(id);
-    }
-    Average &
-    averageAt(StatId id)
-    {
-        assert(id < averages_.count);
-        return averages_.at(id);
-    }
-
-    /** Registered counters (== the next id counterId() would assign). */
-    std::uint32_t numCounters() const { return counters_.count; }
-    std::uint32_t numAverages() const { return averages_.count; }
+    /** Register (or look up) the counter @p name. */
+    Counter &counter(const std::string &name) { return counters_[name]; }
+    /** Register (or look up) the average @p name. */
+    Average &average(const std::string &name) { return averages_[name]; }
 
     /**
      * Register (or look up) a histogram. The shape arguments only apply
@@ -213,8 +169,6 @@ class StatGroup
 
     /** Largest value among counters whose name starts with @p prefix. */
     std::uint64_t maxCounterValueWithPrefix(const std::string &prefix) const;
-    /** Sum of all counters whose name starts with @p prefix. */
-    std::uint64_t sumCountersWithPrefix(const std::string &prefix) const;
 
     /**
      * Fold another group into this one: counters add, averages and
@@ -240,61 +194,8 @@ class StatGroup
     StatSnapshot snapshot() const;
 
   private:
-    /**
-     * One stat kind's storage: a sorted name -> id registry (the sorted
-     * iteration is what keeps dump()/snapshot() output canonical) plus
-     * dense value slabs. Slabs are fixed arrays behind stable pointers:
-     * values of consecutive ids are contiguous (structure-of-arrays
-     * cache behaviour on hot bump loops) and growth never moves an
-     * existing value, so handed-out references survive any amount of
-     * later registration.
-     */
-    template <typename T>
-    struct Registry
-    {
-        static constexpr std::uint32_t slabShift = 8; //!< 256 per slab
-        static constexpr std::uint32_t slabMask = (1u << slabShift) - 1;
-        using Slab = std::array<T, std::size_t(1) << slabShift>;
-
-        std::map<std::string, StatId> ids;
-        std::vector<std::unique_ptr<Slab>> slabs;
-        std::uint32_t count = 0;
-
-        StatId
-        intern(const std::string &name)
-        {
-            auto [it, inserted] = ids.emplace(name, count);
-            if (inserted) {
-                if ((count >> slabShift) == slabs.size())
-                    slabs.push_back(std::make_unique<Slab>());
-                ++count;
-            }
-            return it->second;
-        }
-
-        T &
-        at(StatId id)
-        {
-            return (*slabs[id >> slabShift])[id & slabMask];
-        }
-
-        const T &
-        at(StatId id) const
-        {
-            return (*slabs[id >> slabShift])[id & slabMask];
-        }
-
-        /** Look up an existing name (nullptr when absent; never interns). */
-        const T *
-        find(const std::string &name) const
-        {
-            auto it = ids.find(name);
-            return it == ids.end() ? nullptr : &at(it->second);
-        }
-    };
-
-    Registry<Counter> counters_;
-    Registry<Average> averages_;
+    std::map<std::string, Counter> counters_;
+    std::map<std::string, Average> averages_;
     std::map<std::string, Histogram> histograms_;
 };
 

@@ -240,7 +240,6 @@ TEST(StatGroup, CounterPrefixQueries)
     g.counter("net.linkBusy.1-2").inc(25);
     g.counter("net.linkMsgs.1-2").inc(1000);
     EXPECT_EQ(g.maxCounterValueWithPrefix("net.linkBusy."), 25u);
-    EXPECT_EQ(g.sumCountersWithPrefix("net.linkBusy."), 35u);
     EXPECT_EQ(g.maxCounterValueWithPrefix("nope."), 0u);
 }
 
@@ -375,48 +374,24 @@ TEST(StatSnapshot, DeltaRoundTrip)
     EXPECT_EQ(quiet.averages.at("a").count, 0u);
 }
 
-TEST(StatInterning, IdsAreStableAndNameLookupIsInternOnce)
+TEST(StatGroup, ReferencesSurviveLaterRegistrations)
 {
-    StatGroup g;
-    StatId a = g.counterId("net.msgs");
-    StatId b = g.counterId("net.hops");
-    EXPECT_NE(a, b);
-    // Re-interning an existing name returns the same dense id, no
-    // matter how many registrations happen in between.
-    g.counter("mem.reads").inc();
-    EXPECT_EQ(g.counterId("net.msgs"), a);
-    EXPECT_EQ(g.counterId("net.hops"), b);
-    EXPECT_EQ(g.numCounters(), 3u);
-}
-
-TEST(StatInterning, CounterAtAliasesTheNamedCounter)
-{
-    StatGroup g;
-    StatId id = g.counterId("proto.getS");
-    Counter &by_name = g.counter("proto.getS");
-    EXPECT_EQ(&g.counterAt(id), &by_name);
-    g.counterAt(id).inc(5);
-    EXPECT_EQ(g.counterValue("proto.getS"), 5u);
-
-    StatId aid = g.averageId("net.lat");
-    EXPECT_EQ(&g.averageAt(aid), &g.average("net.lat"));
-    g.averageAt(aid).sample(8.0);
-    EXPECT_DOUBLE_EQ(g.averageMean("net.lat"), 8.0);
-}
-
-TEST(StatInterning, ReferencesSurviveSlabGrowth)
-{
-    // The structure-of-arrays registry grows by whole slabs behind
-    // stable pointers: a Counter& cached at registration time (the
-    // hot-path pattern every controller uses) must stay valid across
-    // any number of later registrations.
+    // A Counter& cached at registration time (the hot-path pattern
+    // every controller uses) must stay valid across any number of later
+    // registrations.
     StatGroup g;
     Counter &early = g.counter("early");
-    for (int i = 0; i < 1000; ++i)
+    Average &early_avg = g.average("early.avg");
+    for (int i = 0; i < 1000; ++i) {
         g.counter("filler." + std::to_string(i)).inc();
+        g.average("filler." + std::to_string(i)).sample(1.0);
+    }
     early.inc(3);
+    early_avg.sample(8.0);
     EXPECT_EQ(g.counterValue("early"), 3u);
-    EXPECT_EQ(g.numCounters(), 1001u);
+    EXPECT_DOUBLE_EQ(g.averageMean("early.avg"), 8.0);
+    EXPECT_EQ(&g.counter("early"), &early);
+    EXPECT_EQ(g.counterValue("filler.999"), 1u);
 }
 
 } // namespace
