@@ -194,13 +194,14 @@ DirController::handleRequest(const Message &msg, DirEntry &e)
     if (e.state == DirState::Exclusive) {
         assert(e.owner != r && "owner re-requesting its own block");
         txn.awaitingWb = true;
+        txn.waiting = bitOf(e.owner);
         recall.type = MsgType::WbReq;
         recall.dst = e.owner;
         send(recall, params_.engineOverhead);
     } else {
         e.removeSharer(r);
-        txn.pendingAcks = e.numSharers();
-        assert(txn.pendingAcks > 0);
+        txn.waiting = e.sharers;
+        assert(txn.waiting != 0);
         recall.type = MsgType::Inv;
         for (std::uint64_t s = e.sharers; s; s &= s - 1) {
             recall.dst = NodeId(__builtin_ctzll(s));
@@ -268,16 +269,11 @@ DirController::complete(DirEntry &e, Txn &txn)
 }
 
 Tick
-DirController::countAck(DirEntry &e, Txn &txn, NodeId n)
+DirController::countAnswer(DirEntry &e, Txn &txn, NodeId n)
 {
-    if (txn.ackedNodes & bitOf(n)) {
-        staleDrops_.inc();
-        return params_.engineOverhead;
-    }
-    txn.ackedNodes |= bitOf(n);
+    txn.waiting &= ~bitOf(n);
     e.removeSharer(n);
-    assert(txn.pendingAcks > 0);
-    if (--txn.pendingAcks == 0)
+    if (txn.waiting == 0)
         return complete(e, txn);
     return params_.engineOverhead;
 }
@@ -285,19 +281,26 @@ DirController::countAck(DirEntry &e, Txn &txn, NodeId n)
 Tick
 DirController::handleAck(const Message &msg)
 {
-    // A WbData answers the WbReq and an InvAck the Inv fan-out. Anything
-    // else is stale: no transaction, or an InvAck from an owner whose
-    // copy had already left for home (FIFO-ordered ahead of this ack).
-    Txn *txn = txns_.find(msg.addr);
-    bool wb = msg.type == MsgType::WbData;
-    if (!txn || txn->awaitingWb != wb) {
+    // An owed ack is its sender's next reply for the block (the node's
+    // channel home is FIFO), so it is stale even when a later recall
+    // waits for the same node: that node re-requested the block after
+    // its self-invalidation, and its answer to the new recall comes
+    // next. Anything else that does not answer the current recall is
+    // stale too.
+    std::uint64_t *owed = owedAcks_.find(msg.addr);
+    if (owed && (*owed & bitOf(msg.src))) {
+        *owed &= ~bitOf(msg.src);
+        if (*owed == 0)
+            owedAcks_.erase(msg.addr);
         staleDrops_.inc();
         return params_.engineOverhead;
     }
-    DirEntry &e = dir_.entry(msg.addr);
-    if (wb)
-        return complete(e, *txn);
-    return countAck(e, *txn, msg.src);
+    Txn *txn = txns_.find(msg.addr);
+    if (!txn || !txn->answeredBy(msg.src, carriesData(msg.type))) {
+        staleDrops_.inc();
+        return params_.engineOverhead;
+    }
+    return countAnswer(dir_.entry(msg.addr), *txn, msg.src);
 }
 
 Tick
@@ -311,16 +314,13 @@ DirController::handleSelfInv(const Message &msg, DirEntry &e)
         // The copy crossed our recall on its way home: the owner's copy
         // stands in for the writeback, a sharer's drop for its ack. A
         // self-invalidation landing here was correct but late.
-        bool answers = txn->awaitingWb ? is_x && e.owner == n
-                                       : !is_x && e.isSharer(n);
-        if (!answers) {
+        if (!txn->answeredBy(n, is_x)) {
             staleDrops_.inc();
             return params_.engineOverhead;
         }
         reportCorrect(n, blk, /*timely=*/false);
-        if (txn->awaitingWb)
-            return complete(e, *txn);
-        return countAck(e, *txn, n);
+        owedAcks_[blk] |= bitOf(n);
+        return countAnswer(e, *txn, n);
     }
 
     bool holds = is_x ? e.state == DirState::Exclusive && e.owner == n

@@ -102,12 +102,22 @@ class DirController
     /** An in-flight transaction for one block. */
     struct Txn
     {
-        Message req;              //!< the original GetS/GetX
-        bool awaitingWb = false;  //!< WbReq outstanding to the old owner
-        unsigned pendingAcks = 0; //!< Inv acks still outstanding
-        std::uint64_t ackedNodes = 0;
+        Message req;             //!< the original GetS/GetX
+        bool awaitingWb = false; //!< WbReq outstanding to the old owner
+        /** Recalled nodes whose answer is still due: the owner for a
+         *  WbReq, the other sharers for an Inv fan-out. */
+        std::uint64_t waiting = 0;
         /** Verification verdict to piggyback on the reply. */
         Verification verdict = Verification::None;
+
+        /** Whether @p n's reply answers this transaction's recall: one
+         *  carrying the block (@p data: WbData, SelfInvX) answers the
+         *  WbReq, one without (InvAck, SelfInvS) the Inv fan-out. */
+        bool
+        answeredBy(NodeId n, bool data) const
+        {
+            return data == awaitingWb && ((waiting >> n) & 1);
+        }
     };
 
     void engineKick();
@@ -132,8 +142,8 @@ class DirController
                bool upgrade);
     /** Grant the transaction's request and end the transaction. */
     Tick complete(DirEntry &e, Txn &txn);
-    /** Count sharer @p n's answer to the Inv fan-out. */
-    Tick countAck(DirEntry &e, Txn &txn, NodeId n);
+    /** Count recalled node @p n's answer; the last one completes. */
+    Tick countAnswer(DirEntry &e, Txn &txn, NodeId n);
 
     /**
      * Run the Section 4 verification-mask logic for an incoming request.
@@ -163,6 +173,12 @@ class DirController
     bool engineBusy_ = false;
     FlatMap<Addr, Txn> txns_;
     FlatMap<Addr, std::deque<Queued>> deferred_;
+    /**
+     * Per block, the nodes whose self-invalidation crossed a recall and
+     * answered it. Each still owes the plain InvAck it sends when the
+     * recall finds its copy gone; that ack is stale.
+     */
+    FlatMap<Addr, std::uint64_t> owedAcks_;
 
     VerifyHook verifyHook_;
 

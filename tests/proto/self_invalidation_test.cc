@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -76,11 +77,11 @@ class SelfInvTest : public ::testing::Test
                 n, sched_, *net_, DirParams{}, stats_));
         }
         for (NodeId n = 0; n < kNodes; ++n) {
-            net_->setSink(n, [this, n](const Message &m) {
-                if (routesToDirectory(m.type))
-                    dirs_[n]->receive(m);
+            net_->setSink(n, [this](const Message &m) {
+                if (hold_ && hold_(m))
+                    held_.push_back(m);
                 else
-                    caches_[n]->receive(m);
+                    deliver(m);
             });
             dirs_[n]->setVerifyHook([this](NodeId who, Addr blk,
                                            bool premature, bool timely) {
@@ -130,6 +131,22 @@ class SelfInvTest : public ::testing::Test
     {
         return dirs_[homes_.home(blk)]->directory().entry(blk);
     }
+
+    /** Hand @p m to its destination's directory or cache. */
+    void
+    deliver(const Message &m)
+    {
+        if (routesToDirectory(m.type))
+            dirs_[m.dst]->receive(m);
+        else
+            caches_[m.dst]->receive(m);
+    }
+
+    /** Messages for which hold_ answers true are kept in held_, in
+     *  arrival order, instead of being delivered; a test delivers them
+     *  later, as a slow network would. */
+    std::function<bool(const Message &)> hold_;
+    std::vector<Message> held_;
 
     ParallelScheduler sched_{1, kNodes,
                              networkLookahead(NetworkParams{}).ticks};
@@ -307,6 +324,110 @@ TEST_F(SelfInvTest, SharerSelfInvCrossingInvCountsAsItsAck)
     EXPECT_FALSE(e.inVerifMask(2));
     EXPECT_EQ(preds_[2]->corrects, 1);
     // ...so node 2's plain InvAck, answering the Inv, was stale.
+    EXPECT_EQ(stats_.counterValue("dir.staleDrops"), 1u);
+}
+
+TEST_F(SelfInvTest, StaleAckDoesNotCompleteALaterFanOut)
+{
+    // As above, node 2's SelfInvS crosses the home's Inv and counts as
+    // its ack, so node 2's plain InvAck for that Inv is stale. Held back,
+    // it lands while a later Inv fan-out waits for node 3 alone (node
+    // 3's own ack held too). It must not answer for node 3.
+    hold_ = [](const Message &m) {
+        return m.type == MsgType::InvAck && m.src == 2;
+    };
+    access(0, blkB, false);
+    access(2, blkB, false);
+    bool done = false;
+    issue(3, blkB, true, done);
+    runUntilLocked(blkB);
+    caches_[2]->requestSelfInvalidate(blkB);
+    sched_.runUntil(tickNever);
+    ASSERT_TRUE(done);
+    ASSERT_EQ(held_.size(), 1u);
+
+    // Node 3 owns the block; node 0 reads it, then node 3 reads it back.
+    access(0, blkB, false);
+    access(3, blkB, false);
+    ASSERT_EQ(dirEntry(blkB).sharers,
+              (std::uint64_t(1) << 0) | (std::uint64_t(1) << 3));
+
+    // Node 0's write recalls node 3's copy alone.
+    hold_ = [](const Message &m) { return m.type == MsgType::InvAck; };
+    bool wrote = false;
+    issue(0, blkB, true, wrote);
+    runUntilLocked(blkB);
+    deliver(held_[0]);
+    sched_.runUntil(tickNever);
+    EXPECT_FALSE(wrote) << "a stale ack completed the fan-out";
+    EXPECT_TRUE(dirEntry(blkB).busy);
+    EXPECT_EQ(stats_.counterValue("dir.staleDrops"), 1u);
+
+    // Node 3's own ack completes it.
+    ASSERT_EQ(held_.size(), 2u);
+    EXPECT_EQ(held_[1].src, NodeId(3));
+    deliver(held_[1]);
+    sched_.runUntil(tickNever);
+    EXPECT_TRUE(wrote);
+    EXPECT_EQ(dirEntry(blkB).state, DirState::Exclusive);
+    EXPECT_EQ(dirEntry(blkB).owner, NodeId(0));
+    EXPECT_EQ(caches_[3]->cache().state(blkB), CacheState::Invalid);
+    EXPECT_EQ(stats_.counterValue("dir.staleDrops"), 1u);
+}
+
+TEST_F(SelfInvTest, OwedAckDoesNotAnswerItsSendersNextRecall)
+{
+    // Node 2 self-invalidates as the home's Inv leaves, and reads the
+    // block again before that Inv reaches it (the network holds the
+    // Inv), so its GetS travels home ahead of its plain InvAck. With
+    // that ack slow too, node 2 re-joins as a sharer, and node 0's write
+    // recalls node 2's new copy. The old ack is owed for the old recall
+    // and must not answer the new one.
+    access(0, blkB, false);
+    access(2, blkB, false);
+    hold_ = [](const Message &m) {
+        return m.dst == 2 ? m.type == MsgType::Inv
+                          : m.type == MsgType::InvAck && m.src == 2;
+    };
+    bool wrote3 = false;
+    issue(3, blkB, true, wrote3);
+    runUntilLocked(blkB);
+    caches_[2]->requestSelfInvalidate(blkB);
+    bool read2 = false;
+    issue(2, blkB, false, read2);
+    // Once node 2's GetS has left, the Inv arrives; nothing else from the
+    // home to node 2 is in flight, so the channel stays FIFO.
+    CacheParams cp;
+    sched_.runUntil(eq_.now() + cp.ctrlOverhead + cp.remoteLookup);
+    ASSERT_EQ(held_.size(), 1u);
+    Message inv = held_[0];
+    held_.clear();
+    hold_ = [](const Message &m) {
+        return m.type == MsgType::InvAck && m.src == 2;
+    };
+    deliver(inv);
+    sched_.runUntil(tickNever);
+    ASSERT_TRUE(wrote3);
+    ASSERT_TRUE(read2);
+    ASSERT_EQ(held_.size(), 1u);
+    ASSERT_EQ(dirEntry(blkB).sharers, std::uint64_t(1) << 2);
+
+    // Node 0's write recalls node 2's new copy, and the owed ack lands.
+    bool wrote0 = false;
+    issue(0, blkB, true, wrote0);
+    runUntilLocked(blkB);
+    deliver(held_[0]);
+    sched_.runUntil(tickNever);
+    EXPECT_FALSE(wrote0) << "an owed ack answered a later recall";
+    EXPECT_EQ(stats_.counterValue("dir.staleDrops"), 1u);
+
+    // Node 2's answer to the new recall completes it.
+    ASSERT_EQ(held_.size(), 2u);
+    deliver(held_[1]);
+    sched_.runUntil(tickNever);
+    EXPECT_TRUE(wrote0);
+    EXPECT_EQ(dirEntry(blkB).owner, NodeId(0));
+    EXPECT_EQ(caches_[2]->cache().state(blkB), CacheState::Invalid);
     EXPECT_EQ(stats_.counterValue("dir.staleDrops"), 1u);
 }
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Write the stats dumps of a fixed 83-run ltp_debug matrix, one file per
+# Write the stats dumps of a fixed 87-run ltp_debug matrix, one file per
 # configuration, so that two builds (or two environments) can be
 # compared with `diff -r`.
 #
@@ -11,6 +11,8 @@
 #               x {active, passive}                     <kernel>-<pred>-<mode>.txt
 #   - em3d and ocean with Passive LTP on a 2-sharded
 #     adaptive mesh                  <kernel>-ltp-passive-mesh-adaptive-2.txt
+#   - barnes and appbt x {ltp, dsi} Active on a DOR mesh
+#                                         <kernel>-<pred>-active-mesh-dor.txt
 #
 # The environment passes through to every run, so the same script checks
 # the observer-only contract (LTP_CHECK=all, LTP_SIM_THREADS=2, ...): the
@@ -54,6 +56,11 @@ for k in "${kernels[@]}"; do
 done
 for k in em3d ocean; do
     configs+=("$k-ltp-passive-mesh-adaptive-2 $k 0.3 32 ltp passive mesh adaptive 2")
+done
+for k in barnes appbt; do
+    for p in ltp dsi; do
+        configs+=("$k-$p-active-mesh-dor $k 0.3 32 $p active mesh dor")
+    done
 done
 
 fail=0
