@@ -84,8 +84,9 @@ expectIdentical(const RunOutput &a, const RunOutput &b,
     EXPECT_EQ(a.dump, b.dump) << what;
 }
 
-/** A matrix cell: kernel, topology case, predictor case. */
-using Cell = std::tuple<const char *, int, int>;
+/** A matrix cell: kernel, topology case, predictor case, node count and
+ *  iteration scale. */
+using Cell = std::tuple<const char *, int, int, NodeId, double>;
 
 class ParallelDeterminism : public ::testing::TestWithParam<Cell>
 {
@@ -96,6 +97,8 @@ TEST_P(ParallelDeterminism, StatsDumpsAreByteIdenticalAcrossShardCounts)
     const char *kernel = std::get<0>(GetParam());
     int topo_case = std::get<1>(GetParam());
     int pred_case = std::get<2>(GetParam());
+    NodeId nodes = std::get<3>(GetParam());
+    double iter_scale = std::get<4>(GetParam());
     TopologyKind topo = topo_case == 0   ? TopologyKind::PointToPoint
                         : topo_case == 1 ? TopologyKind::Mesh2D
                         : topo_case == 2 ? TopologyKind::Torus2D
@@ -110,9 +113,12 @@ TEST_P(ParallelDeterminism, StatsDumpsAreByteIdenticalAcrossShardCounts)
     PredictorMode mode =
         pred_case == 0 ? PredictorMode::Off : PredictorMode::Active;
 
-    RunOutput s1 = runCell(kernel, topo, routing, 1, pred, mode);
-    RunOutput s2 = runCell(kernel, topo, routing, 2, pred, mode);
-    RunOutput s4 = runCell(kernel, topo, routing, 4, pred, mode);
+    RunOutput s1 =
+        runCell(kernel, topo, routing, 1, pred, mode, nodes, iter_scale);
+    RunOutput s2 =
+        runCell(kernel, topo, routing, 2, pred, mode, nodes, iter_scale);
+    RunOutput s4 =
+        runCell(kernel, topo, routing, 4, pred, mode, nodes, iter_scale);
 
     std::string what = std::string(kernel) + "/" +
                        topologyKindName(topo) + "/" +
@@ -130,7 +136,8 @@ INSTANTIATE_TEST_SUITE_P(
     KernelTopologyMatrix, ParallelDeterminism,
     ::testing::Combine(::testing::Values("ocean", "em3d", "moldyn"),
                        ::testing::Values(0, 1, 2, 3),
-                       ::testing::Values(0)));
+                       ::testing::Values(0), ::testing::Values(NodeId(16)),
+                       ::testing::Values(1.0)));
 
 // Active LTP (1) and DSI (2): self-invalidations plus verification
 // verdicts posted from the home directory to the self-invalidating
@@ -139,45 +146,19 @@ INSTANTIATE_TEST_SUITE_P(
     ActivePredictorMatrix, ParallelDeterminism,
     ::testing::Combine(::testing::Values("em3d"),
                        ::testing::Values(0, 1, 2, 3),
-                       ::testing::Values(1, 2)));
+                       ::testing::Values(1, 2), ::testing::Values(NodeId(16)),
+                       ::testing::Values(1.0)));
 
-/** A 32-node mesh cell with DOR routing: kernel, Active predictor. */
-using MeshCell = std::tuple<const char *, PredictorKind>;
-
-class ActiveMeshDeterminism : public ::testing::TestWithParam<MeshCell>
-{
-};
-
-TEST_P(ActiveMeshDeterminism, StatsDumpsAreByteIdenticalAcrossShardCounts)
-{
-    const char *kernel = std::get<0>(GetParam());
-    PredictorKind pred = std::get<1>(GetParam());
-    auto run = [&](unsigned threads) {
-        return runCell(kernel, TopologyKind::Mesh2D,
-                       RoutingPolicy::DimensionOrder, threads, pred,
-                       PredictorMode::Active, 32, 0.3);
-    };
-    RunOutput s1 = run(1);
-    RunOutput s2 = run(2);
-    RunOutput s4 = run(4);
-
-    std::string what = std::string(kernel) + "/" + predictorKindName(pred);
-    EXPECT_EQ(s2.shards, 2u) << what;
-    EXPECT_EQ(s4.shards, 4u) << what;
-    EXPECT_GT(s1.verdicts, 0u) << what << ": no verdict crossed nodes";
-    expectIdentical(s1, s2, what + " s1 vs s2");
-    expectIdentical(s1, s4, what + " s1 vs s4");
-}
-
-// Barnes and appbt with self-invalidation on the 32-node mesh, at the
-// 0.3 iteration scale of tools/dump_matrix.sh: where a stale InvAck used
-// to complete a later recall early, and the accesses that let overlap
-// raced across shards.
+// Barnes and appbt with self-invalidation on the 32-node DOR mesh, at
+// the 0.3 iteration scale of tools/dump_matrix.sh: where a stale InvAck
+// used to complete a later recall early, and the accesses that let
+// overlap raced across shards.
 INSTANTIATE_TEST_SUITE_P(
-    StaleAckMatrix, ActiveMeshDeterminism,
+    StaleAckMatrix, ParallelDeterminism,
     ::testing::Combine(::testing::Values("barnes", "appbt"),
-                       ::testing::Values(PredictorKind::LtpPerBlock,
-                                         PredictorKind::Dsi)));
+                       ::testing::Values(1), ::testing::Values(1, 2),
+                       ::testing::Values(NodeId(32)),
+                       ::testing::Values(0.3)));
 
 TEST(ParallelDeterminismModes, PassivePredictorShardsAndStaysIdentical)
 {
