@@ -1,16 +1,25 @@
 /**
  * @file
  * Google-benchmark microbenchmarks for the hot structures: trace
- * signature updates, predictor touch/learn paths, the event queue, and
- * end-to-end simulated-cycles-per-wall-second for a small system.
+ * signature updates, predictor touch/learn paths, the event queue, one
+ * directory transaction, and end-to-end simulated-cycles-per-wall-second
+ * for a small system.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
 #include "dsm/experiment.hh"
+#include "mem/addr.hh"
+#include "net/network.hh"
 #include "predictor/ltp_per_block.hh"
 #include "predictor/signature.hh"
+#include "proto/cache_controller.hh"
+#include "proto/dir_controller.hh"
 #include "sim/event_queue.hh"
+#include "sim/par/parallel_scheduler.hh"
 
 namespace
 {
@@ -129,6 +138,63 @@ BM_EventQueueSteadyStateChannel(benchmark::State &state)
     eventQueueSteadyState<true>(state);
 }
 BENCHMARK(BM_EventQueueSteadyStateChannel)->Arg(200);
+
+/**
+ * Host cost of one coherence transaction, run to quiescence on a
+ * 1-shard scheduler: four nodes on the paper's p2p network, wired as in
+ * tests/proto/protocol_test.cc. Iterations alternate on each of 64
+ * blocks homed at node 1: node 0 reads it (a miss that recalls node 3's
+ * exclusive copy), then node 3 writes it (a miss that invalidates node
+ * 0's copy). So the time per iteration is ns per transaction: cache
+ * controllers, NIs, the directory engine and the event queue. The
+ * tables are warmed before timing, and nothing grows while it runs.
+ */
+void
+BM_DirectoryTransaction(benchmark::State &state)
+{
+    constexpr NodeId nodes = 4;
+    constexpr Addr blocks = 64;
+    const NetworkParams np;
+    ParallelScheduler sched(1, nodes, networkLookahead(np).ticks);
+    StatGroup &stats = sched.shardStats(0);
+    HomeMap homes(4096, nodes);
+    Network net(sched, nodes, np);
+    std::vector<std::unique_ptr<CacheController>> caches;
+    std::vector<std::unique_ptr<DirController>> dirs;
+    for (NodeId n = 0; n < nodes; ++n) {
+        caches.push_back(std::make_unique<CacheController>(
+            n, sched, net, homes, CacheParams{}, stats));
+        dirs.push_back(std::make_unique<DirController>(n, sched, net,
+                                                       DirParams{}, stats));
+    }
+    for (NodeId n = 0; n < nodes; ++n) {
+        net.setSink(n, [&caches, &dirs, n](const Message &m) {
+            if (routesToDirectory(m.type))
+                dirs[n]->receive(m);
+            else
+                caches[n]->receive(m);
+        });
+    }
+
+    std::uint64_t i = 0;
+    Tick latency = 0;
+    auto transaction = [&] {
+        Addr blk = (1 + 4 * ((i / 2) % blocks)) * 4096; // homed at 1
+        bool write = i++ % 2;
+        caches[write ? 3 : 0]->access(blk, 0x1000, write,
+                                      [&latency](Tick lat, bool) {
+                                          latency = lat;
+                                      });
+        sched.runUntil(tickNever);
+        benchmark::DoNotOptimize(latency);
+    };
+    for (Addr k = 0; k < 2 * blocks; ++k)
+        transaction();
+    for (auto _ : state)
+        transaction();
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DirectoryTransaction);
 
 void
 BM_EndToEndEm3d(benchmark::State &state)

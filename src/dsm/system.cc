@@ -1,5 +1,6 @@
 #include "dsm/system.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <optional>
@@ -246,20 +247,21 @@ DsmSystem::run(KernelBase &kernel, const KernelConfig &cfg)
 
     unsigned finished = finished_.load(std::memory_order_relaxed);
     bool completed = finished == params_.numNodes;
+    Tick end = drainedTick();
     std::string abortReason;
     if (!completed) {
         abortReason = sim_->abortReason();
         if (abortReason.empty()) {
-            if (sim_->now() >= params_.maxTicks) {
+            if (end >= params_.maxTicks) {
                 abortReason = "maxTicks exceeded: tick " +
-                              std::to_string(sim_->now()) +
+                              std::to_string(end) +
                               " reached the " +
                               std::to_string(params_.maxTicks) +
                               "-cycle budget";
             } else {
                 abortReason =
                     "idle deadlock: all event queues drained at tick " +
-                    std::to_string(sim_->now()) + " with " +
+                    std::to_string(end) + " with " +
                     std::to_string(params_.numNodes - finished) + " of " +
                     std::to_string(params_.numNodes) +
                     " threads unfinished";
@@ -274,13 +276,12 @@ DsmSystem::run(KernelBase &kernel, const KernelConfig &cfg)
     }
 
     if (sampler_) {
-        sampler_->finish(sim_->now(), sim_->stats(),
-                         sim_->eventsExecuted());
+        sampler_->finish(end, sim_->stats(), sim_->eventsExecuted());
         sim_->setMetricsSampler(nullptr);
     }
     sim_->tracer().flush();
 
-    RunResult r = collect(completed);
+    RunResult r = collect(completed, end);
     if (completed) {
         // Quiesce invariants only make sense on a drained machine; an
         // aborted run legitimately has messages in flight and busy
@@ -399,13 +400,29 @@ DsmSystem::guardQuiesceChecks() const
     }
 }
 
+Tick
+DsmSystem::drainedTick() const
+{
+    // A directory engine stays busy after its last pass with no event
+    // to show it. The run lasts until that occupancy ends, when it ends
+    // within the limit; past the limit, the run stops as it would at a
+    // pending event there.
+    Tick end = sim_->now();
+    for (const auto &node : nodes_) {
+        Tick busy = node->dirCtrl->busyUntil();
+        if (busy <= params_.maxTicks)
+            end = std::max(end, busy);
+    }
+    return end;
+}
+
 RunResult
-DsmSystem::collect(bool completed) const
+DsmSystem::collect(bool completed, Tick end) const
 {
     StatGroup &stats = sim_->stats();
     RunResult r;
     r.completed = completed;
-    r.cycles = sim_->now();
+    r.cycles = end;
     r.eventsExecuted = sim_->eventsExecuted();
     r.simShards = plan_.shards;
     r.invalidations = stats.counterValue("pred.invalidations");

@@ -179,7 +179,13 @@ class DsmSystem
 
   private:
     std::unique_ptr<InvalidationPredictor> makePredictor() const;
-    RunResult collect(bool completed) const;
+    /**
+     * The tick the run drained at: the engine's now() or, when later, a
+     * directory engine's busy-until tick (its occupancy is a reserved
+     * position, not an event), never past the run limit.
+     */
+    Tick drainedTick() const;
+    RunResult collect(bool completed, Tick end) const;
     /** LTP_CHECK quiesce invariants (completed runs only). */
     void guardQuiesceChecks() const;
 

@@ -32,28 +32,16 @@ Cache::findAny(Addr addr)
     return lines_.find(math_.align(addr));
 }
 
-void
+CacheLine &
 Cache::insert(Addr addr, CacheState state)
 {
     assert(state != CacheState::Invalid);
-    Addr blk = math_.align(addr);
-
-    CacheLine *existing = lines_.find(blk);
-    if (existing && existing->state != CacheState::Invalid) {
-        // Upgrade in place (e.g., Shared -> Exclusive).
-        existing->state = state;
-        return;
-    }
-    lines_.insert(blk, CacheLine{state});
-}
-
-void
-Cache::invalidate(Addr addr)
-{
-    // Keep the entry (state Invalid) so the DSI version survives for the
-    // next request.
-    if (CacheLine *l = lines_.find(math_.align(addr)))
-        l->state = CacheState::Invalid;
+    CacheLine &line = lines_[math_.align(addr)];
+    if (line.state == CacheState::Invalid)
+        line = CacheLine{state};
+    else
+        line.state = state; // upgrade in place (Shared -> Exclusive)
+    return line;
 }
 
 } // namespace ltp

@@ -32,9 +32,17 @@ enum class CacheState : std::uint8_t
 struct CacheLine
 {
     CacheState state = CacheState::Invalid;
+    /**
+     * The block's home node, recorded at the fill (the data reply's
+     * sender), so a re-fetch or a self-invalidation needs no HomeMap
+     * lookup. It sits in padding the version's alignment leaves.
+     */
+    NodeId home = invalidNode;
     /** DSI write-version carried with the data reply that filled us. */
     std::uint64_t version = 0;
 };
+
+static_assert(sizeof(CacheLine) == 16, "CacheLine grew past 16 bytes");
 
 /**
  * Tag store. Addresses handed in are block-aligned by the cache itself.
@@ -62,13 +70,21 @@ class Cache
     CacheState state(Addr addr) const;
 
     /**
-     * Insert (or upgrade) a block in @p state. A newly resident line
-     * has version 0; the caller stamps the version of the data.
+     * Insert (or upgrade) a block in @p state, in one lookup. A newly
+     * resident line has version 0 and no home; the caller stamps both
+     * from the data reply. @return the resident line.
      */
-    void insert(Addr addr, CacheState state);
+    CacheLine &insert(Addr addr, CacheState state);
 
-    /** Drop the block (invalidation / self-invalidation). */
-    void invalidate(Addr addr);
+    /**
+     * Drop @p line's block (invalidation / self-invalidation). The entry
+     * stays, Invalid, so the DSI version survives for the next request.
+     */
+    static void
+    invalidate(CacheLine &line)
+    {
+        line.state = CacheState::Invalid;
+    }
 
     /** Visit every resident block address (used by DSI's candidate walk). */
     template <typename Fn>

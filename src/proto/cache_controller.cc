@@ -1,6 +1,8 @@
 #include "proto/cache_controller.hh"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace ltp
 {
@@ -50,8 +52,12 @@ CacheController::access(Addr addr, Pc pc, bool is_write, AccessDone done)
     BlockMath math(params_.blockSize);
     Addr blk = math.align(addr);
 
-    CacheLine *line = cache_.find(blk);
-    bool hit = line && (!is_write || line->state == CacheState::Exclusive);
+    // One lookup: the entry, resident or kept Invalid, answers the hit
+    // test and gives a miss its DSI version and home.
+    CacheLine *line = cache_.findAny(blk);
+    CacheState st = line ? line->state : CacheState::Invalid;
+    bool hit = st == CacheState::Exclusive ||
+               (st == CacheState::Shared && !is_write);
     if (hit) {
         hits_.inc();
         Tick lat = params_.hitLatency;
@@ -68,7 +74,7 @@ CacheController::access(Addr addr, Pc pc, bool is_write, AccessDone done)
     out_.blk = blk;
     out_.pc = pc;
     out_.write = is_write;
-    out_.hadSharedCopy = line && line->state == CacheState::Shared;
+    out_.hadSharedCopy = st == CacheState::Shared;
     out_.issued = eq_.now();
     out_.done = std::move(done);
     if (out_.hadSharedCopy)
@@ -77,13 +83,14 @@ CacheController::access(Addr addr, Pc pc, bool is_write, AccessDone done)
     Message req;
     req.type = is_write ? MsgType::GetX : MsgType::GetS;
     req.src = node_;
-    req.dst = homes_.home(blk);
+    // A block held before remembers its home; only a cold miss asks
+    // the HomeMap.
+    req.dst = line ? line->home : homes_.home(blk);
     req.addr = blk;
     req.requester = node_;
     // DSI versioning: report the version of our last-held copy, or
     // "no version" on a cold access.
-    CacheLine *any = cache_.findAny(blk);
-    req.version = any ? any->version : noVersion;
+    req.version = line ? line->version : noVersion;
     Tick delay = params_.ctrlOverhead +
                  (req.dst != node_ ? params_.remoteLookup : 0);
     send(req, delay);
@@ -102,7 +109,10 @@ CacheController::receive(const Message &msg)
         handleInvOrWbReq(msg);
         break;
       default:
-        assert(false && "unexpected message at cache controller");
+        throw std::logic_error(std::string("unexpected ") +
+                               msgTypeName(msg.type) +
+                               " at the cache controller of node " +
+                               std::to_string(node_));
     }
 }
 
@@ -123,8 +133,9 @@ CacheController::handleData(const Message &msg)
 
     CacheState st = msg.type == MsgType::DataX ? CacheState::Exclusive
                                                : CacheState::Shared;
-    cache_.insert(blk, st);
-    cache_.find(blk)->version = msg.version;
+    CacheLine &line = cache_.insert(blk, st);
+    line.version = msg.version;
+    line.home = msg.src; // data comes only from the block's home
     if (pred_)
         pred_->onFillInfo(blk, FillInfo{msg.dsiCandidate});
 
@@ -161,7 +172,7 @@ CacheController::handleInvOrWbReq(const Message &msg)
             line->state == CacheState::Exclusive) {
             reply.type = MsgType::WbData;
         }
-        externalInvalidation(blk);
+        externalInvalidation(blk, *line);
     }
     // A missing line means our SelfInv is already on its way home
     // (FIFO channels deliver it first); the plain ack lets the directory
@@ -170,7 +181,7 @@ CacheController::handleInvOrWbReq(const Message &msg)
 }
 
 void
-CacheController::externalInvalidation(Addr blk)
+CacheController::externalInvalidation(Addr blk, CacheLine &line)
 {
     invalidationsSeen_.inc();
     if (mode_ == PredictorMode::Passive && pendingPred_.count(blk)) {
@@ -186,7 +197,7 @@ CacheController::externalInvalidation(Addr blk)
         if (pred_)
             pred_->onInvalidation(blk);
     }
-    cache_.invalidate(blk);
+    Cache::invalidate(line);
 }
 
 void
@@ -215,8 +226,8 @@ CacheController::afterTouch(Addr blk, Pc pc, bool is_write, bool fill)
                             blk);
     if (mode_ == PredictorMode::Passive) {
         pendingPred_.insert(blk);
-    } else {
-        selfInvalidate(blk);
+    } else if (CacheLine *line = cache_.find(blk)) {
+        selfInvalidate(blk, *line);
     }
 }
 
@@ -233,23 +244,20 @@ CacheController::requestSelfInvalidate(Addr blk)
     if (mode_ == PredictorMode::Passive) {
         pendingPred_.insert(blk);
     } else if (mode_ == PredictorMode::Active) {
-        selfInvalidate(blk);
+        selfInvalidate(blk, *line);
     }
 }
 
 void
-CacheController::selfInvalidate(Addr blk)
+CacheController::selfInvalidate(Addr blk, CacheLine &line)
 {
-    CacheLine *line = cache_.find(blk);
-    if (!line)
-        return;
     Message msg;
-    msg.type = line->state == CacheState::Exclusive ? MsgType::SelfInvX
-                                                    : MsgType::SelfInvS;
+    msg.type = line.state == CacheState::Exclusive ? MsgType::SelfInvX
+                                                   : MsgType::SelfInvS;
     msg.src = node_;
-    msg.dst = homes_.home(blk);
+    msg.dst = line.home;
     msg.addr = blk;
-    cache_.invalidate(blk);
+    Cache::invalidate(line);
     selfInvsIssued_.inc();
     sched_.tracer().instant(obs::Cat::Predictor, node_, "self-invalidate",
                             eq_.now(), blk);

@@ -82,7 +82,10 @@ class CacheController : public SelfInvalidationPort
      */
     void access(Addr addr, Pc pc, bool is_write, AccessDone done);
 
-    /** Deliver an inbound protocol message (network sink). */
+    /**
+     * Deliver an inbound protocol message (network sink).
+     * @throws std::logic_error for a type a cache does not handle.
+     */
     void receive(const Message &msg);
 
     /** The processor crossed a synchronization boundary (DSI trigger). */
@@ -125,11 +128,12 @@ class CacheController : public SelfInvalidationPort
     /** Report a completed touch to the predictor and act on the answer. */
     void afterTouch(Addr blk, Pc pc, bool is_write, bool fill);
 
-    /** An external invalidation removed a resident block: score + learn. */
-    void externalInvalidation(Addr blk);
+    /** An external invalidation removes resident @p line (block @p blk):
+     *  score + learn. */
+    void externalInvalidation(Addr blk, CacheLine &line);
 
-    /** Really flush @p blk home (Active mode). */
-    void selfInvalidate(Addr blk);
+    /** Really flush resident @p line (block @p blk) home (Active mode). */
+    void selfInvalidate(Addr blk, CacheLine &line);
 
     void send(Message msg, Tick delay);
 

@@ -1,6 +1,8 @@
 #include "proto/dir_controller.hh"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace ltp
 {
@@ -52,21 +54,27 @@ DirController::DirController(NodeId node, ParallelScheduler &sched,
 void
 DirController::receive(const Message &msg)
 {
-    inq_.push_back(Queued{msg, eq_.now()});
+    push(inq_, allocQueued(msg, eq_.now()));
     engineKick();
 }
 
 void
 DirController::engineKick()
 {
-    if (engineBusy_ || inq_.empty())
+    if (inq_ == DirEntry::none)
         return;
-    Queued q = inq_.front();
-    inq_.pop_front();
+    if (!eq_.reached(freeAt_)) {
+        armWake();
+        return;
+    }
+    std::uint32_t i = pop(inq_);
+    const Queued q = pool_[i];
 
-    std::optional<Tick> served = process(q);
+    std::optional<Tick> served = process(q.msg, i);
     Tick latency = served.value_or(params_.engineOverhead);
     if (served) {
+        pool_[i].next = freeQueued_;
+        freeQueued_ = i;
         queueing_.sample(double(eq_.now() - q.arrival));
         service_.sample(double(latency));
     }
@@ -78,47 +86,55 @@ DirController::engineKick()
 
     Tick occupancy = params_.pipelined ? std::max<Tick>(latency / 2, 1)
                                        : std::max<Tick>(latency, 1);
-    engineBusy_ = true;
-    eq_.scheduleIn(occupancy, [this] {
-        engineBusy_ = false;
+    freeAt_ = eq_.reserve(eq_.now() + occupancy);
+    if (inq_ != DirEntry::none)
+        armWake();
+}
+
+void
+DirController::armWake()
+{
+    if (wakeArmed_)
+        return;
+    wakeArmed_ = true;
+    eq_.scheduleAt(freeAt_, [this] {
+        wakeArmed_ = false;
         engineKick();
     });
 }
 
 std::optional<Tick>
-DirController::process(const Queued &q)
+DirController::process(const Message &msg, std::uint32_t q)
 {
-    const Message &msg = q.msg;
+    DirEntry &e = dir_.entry(msg.addr);
     switch (msg.type) {
       case MsgType::GetS:
-      case MsgType::GetX: {
-        DirEntry &e = dir_.entry(msg.addr);
+      case MsgType::GetX:
         if (e.busy) {
             // Block-level serialization: park the request until the
             // in-flight transaction completes.
-            deferred_[msg.addr].push_back(q);
+            push(e.parked, q);
             return std::nullopt;
         }
         requests_.inc();
         return handleRequest(msg, e);
-      }
       case MsgType::InvAck:
       case MsgType::WbData:
-        return handleAck(msg);
+        return handleAck(msg, e);
       case MsgType::SelfInvS:
-      case MsgType::SelfInvX: {
-        DirEntry &e = dir_.entry(msg.addr);
-        if (e.busy && !txns_.contains(msg.addr)) {
+      case MsgType::SelfInvX:
+        if (e.busy && e.txn == DirEntry::none) {
             // A data reply for this block is still being assembled
             // (reply window): park the flush until it is on the wire.
-            deferred_[msg.addr].push_back(q);
+            push(e.parked, q);
             return std::nullopt;
         }
         return handleSelfInv(msg, e);
-      }
       default:
-        assert(false && "unexpected message at directory");
-        return params_.engineOverhead;
+        throw std::logic_error(std::string("unexpected ") +
+                               msgTypeName(msg.type) +
+                               " at the directory of node " +
+                               std::to_string(node_));
     }
 }
 
@@ -209,7 +225,14 @@ DirController::handleRequest(const Message &msg, DirEntry &e)
         }
     }
     e.busy = true;
-    txns_[msg.addr] = txn;
+    if (freeTxns_.empty()) {
+        e.txn = std::uint32_t(txnPool_.size());
+        txnPool_.push_back(txn);
+    } else {
+        e.txn = freeTxns_.back();
+        freeTxns_.pop_back();
+        txnPool_[e.txn] = txn;
+    }
     return params_.engineOverhead;
 }
 
@@ -260,11 +283,12 @@ DirController::grant(const Message &req, DirEntry &e, Verification verdict,
 }
 
 Tick
-DirController::complete(DirEntry &e, Txn &txn)
+DirController::complete(DirEntry &e)
 {
-    Addr blk = txn.req.addr;
+    const Txn &txn = txnPool_[e.txn];
     Tick latency = grant(txn.req, e, txn.verdict, /*upgrade=*/false);
-    txns_.erase(blk);
+    freeTxns_.push_back(e.txn);
+    e.txn = DirEntry::none;
     return latency;
 }
 
@@ -274,12 +298,12 @@ DirController::countAnswer(DirEntry &e, Txn &txn, NodeId n)
     txn.waiting &= ~bitOf(n);
     e.removeSharer(n);
     if (txn.waiting == 0)
-        return complete(e, txn);
+        return complete(e);
     return params_.engineOverhead;
 }
 
 Tick
-DirController::handleAck(const Message &msg)
+DirController::handleAck(const Message &msg, DirEntry &e)
 {
     // An owed ack is its sender's next reply for the block (the node's
     // channel home is FIFO), so it is stale even when a later recall
@@ -287,20 +311,17 @@ DirController::handleAck(const Message &msg)
     // its self-invalidation, and its answer to the new recall comes
     // next. Anything else that does not answer the current recall is
     // stale too.
-    std::uint64_t *owed = owedAcks_.find(msg.addr);
-    if (owed && (*owed & bitOf(msg.src))) {
-        *owed &= ~bitOf(msg.src);
-        if (*owed == 0)
-            owedAcks_.erase(msg.addr);
+    if (e.owedAcks & bitOf(msg.src)) {
+        e.owedAcks &= ~bitOf(msg.src);
         staleDrops_.inc();
         return params_.engineOverhead;
     }
-    Txn *txn = txns_.find(msg.addr);
-    if (!txn || !txn->answeredBy(msg.src, carriesData(msg.type))) {
+    if (e.txn == DirEntry::none ||
+        !txnPool_[e.txn].answeredBy(msg.src, carriesData(msg.type))) {
         staleDrops_.inc();
         return params_.engineOverhead;
     }
-    return countAnswer(dir_.entry(msg.addr), *txn, msg.src);
+    return countAnswer(e, txnPool_[e.txn], msg.src);
 }
 
 Tick
@@ -310,17 +331,18 @@ DirController::handleSelfInv(const Message &msg, DirEntry &e)
     NodeId n = msg.src;
     bool is_x = msg.type == MsgType::SelfInvX;
 
-    if (Txn *txn = txns_.find(blk)) {
+    if (e.txn != DirEntry::none) {
         // The copy crossed our recall on its way home: the owner's copy
         // stands in for the writeback, a sharer's drop for its ack. A
         // self-invalidation landing here was correct but late.
-        if (!txn->answeredBy(n, is_x)) {
+        Txn &txn = txnPool_[e.txn];
+        if (!txn.answeredBy(n, is_x)) {
             staleDrops_.inc();
             return params_.engineOverhead;
         }
         reportCorrect(n, blk, /*timely=*/false);
-        owedAcks_[blk] |= bitOf(n);
-        return countAnswer(e, *txn, n);
+        e.owedAcks |= bitOf(n);
+        return countAnswer(e, txn, n);
     }
 
     bool holds = is_x ? e.state == DirState::Exclusive && e.owner == n
@@ -353,15 +375,59 @@ DirController::send(Message msg, Tick delay)
 void
 DirController::unlock(Addr blk)
 {
-    dir_.entry(blk).busy = false;
-    if (std::deque<Queued> *parked = deferred_.find(blk)) {
-        // Re-inject parked requests ahead of newer arrivals, preserving
-        // their original arrival order and timestamps.
-        for (auto rit = parked->rbegin(); rit != parked->rend(); ++rit)
-            inq_.push_front(*rit);
-        deferred_.erase(blk);
-        engineKick();
+    DirEntry &e = dir_.entry(blk);
+    e.busy = false;
+    if (e.parked == DirEntry::none)
+        return;
+    // Re-inject parked requests ahead of newer arrivals, preserving
+    // their original arrival order and timestamps: splice the parked
+    // circle in before the queue's head.
+    if (inq_ == DirEntry::none) {
+        inq_ = e.parked;
+    } else {
+        std::uint32_t parkedHead = pool_[e.parked].next;
+        pool_[e.parked].next = pool_[inq_].next;
+        pool_[inq_].next = parkedHead;
     }
+    e.parked = DirEntry::none;
+    engineKick();
+}
+
+std::uint32_t
+DirController::allocQueued(const Message &msg, Tick arrival)
+{
+    std::uint32_t q = freeQueued_;
+    if (q == DirEntry::none) {
+        q = std::uint32_t(pool_.size());
+        pool_.emplace_back();
+    } else {
+        freeQueued_ = pool_[q].next;
+    }
+    pool_[q] = Queued{msg, arrival, DirEntry::none};
+    return q;
+}
+
+void
+DirController::push(std::uint32_t &tail, std::uint32_t q)
+{
+    if (tail == DirEntry::none) {
+        pool_[q].next = q;
+    } else {
+        pool_[q].next = pool_[tail].next;
+        pool_[tail].next = q;
+    }
+    tail = q;
+}
+
+std::uint32_t
+DirController::pop(std::uint32_t &tail)
+{
+    std::uint32_t head = pool_[tail].next;
+    if (head == tail)
+        tail = DirEntry::none;
+    else
+        pool_[tail].next = pool_[head].next;
+    return head;
 }
 
 } // namespace ltp

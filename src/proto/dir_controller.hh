@@ -23,20 +23,29 @@
  * that parks it; it is counted and sampled once, on the pass that
  * serves it: queueing from its arrival to that pass (parked time
  * included), service that pass's latency.
+ *
+ * The engine is free again at a reserved place in the event order
+ * (EventQueue::reserve), the place its occupancy timer would take: a
+ * message arriving at or past it is served at once, and a backlog arms
+ * one wake there. No event runs for an engine that has nothing to do.
+ * Waiting messages (the input queue and each busy block's parked
+ * requests) are circular FIFOs in one pooled vector, so unlocking a
+ * block puts its parked requests back ahead of the queue in O(1), and
+ * the steady state allocates nothing.
  */
 
 #ifndef LTP_PROTO_DIR_CONTROLLER_HH
 #define LTP_PROTO_DIR_CONTROLLER_HH
 
-#include <deque>
+#include <cstdint>
 #include <functional>
 #include <optional>
+#include <vector>
 
 #include "net/message.hh"
 #include "net/topo/interconnect.hh"
 #include "proto/directory.hh"
 #include "sim/event_queue.hh"
-#include "sim/flat_map.hh"
 #include "sim/par/parallel_scheduler.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -79,7 +88,11 @@ class DirController
     DirController(NodeId node, ParallelScheduler &sched, Interconnect &net,
                   DirParams params, StatGroup &stats);
 
-    /** Deliver an inbound protocol message (network sink). */
+    /**
+     * Deliver an inbound protocol message (network sink). The engine
+     * throws std::logic_error when it serves a type a directory does
+     * not handle.
+     */
     void receive(const Message &msg);
 
     /** Install the verification-outcome hook. */
@@ -91,12 +104,22 @@ class DirController
 
     NodeId nodeId() const { return node_; }
 
+    /**
+     * The tick the engine's last pass occupies it until. It can lie
+     * past the queue's last event: the run's end is the later of the
+     * two (DsmSystem).
+     */
+    Tick busyUntil() const { return freeAt_.when; }
+
   private:
-    /** A message waiting for the protocol engine. */
+    /** A message waiting for the protocol engine, in the pool. */
     struct Queued
     {
         Message msg;
         Tick arrival;
+        /** Next in its circular FIFO (the tail's is the head), or in
+         *  the free list. */
+        std::uint32_t next;
     };
 
     /** An in-flight transaction for one block. */
@@ -120,15 +143,18 @@ class DirController
         }
     };
 
+    /** Serve the queue's head if the engine is free, else wake later. */
     void engineKick();
-    /** Serve one message and return its service latency, or park it
-     *  on its busy block and return nothing. */
-    std::optional<Tick> process(const Queued &q);
+    /** Schedule one wake at the engine's free position. */
+    void armWake();
+    /** Serve message @p msg (pool entry @p q) and return its service
+     *  latency, or park it on its busy block and return nothing. */
+    std::optional<Tick> process(const Message &msg, std::uint32_t q);
 
     /** A GetS or GetX for the unlocked block @p e. */
     Tick handleRequest(const Message &msg, DirEntry &e);
-    /** An InvAck or WbData answering a recall. */
-    Tick handleAck(const Message &msg);
+    /** An InvAck or WbData answering a recall of @p e. */
+    Tick handleAck(const Message &msg, DirEntry &e);
     /** A SelfInv flush of block @p e, outside a reply window. */
     Tick handleSelfInv(const Message &msg, DirEntry &e);
 
@@ -140,8 +166,8 @@ class DirController
      */
     Tick grant(const Message &req, DirEntry &e, Verification verdict,
                bool upgrade);
-    /** Grant the transaction's request and end the transaction. */
-    Tick complete(DirEntry &e, Txn &txn);
+    /** Grant @p e's transaction's request and end the transaction. */
+    Tick complete(DirEntry &e);
     /** Count recalled node @p n's answer; the last one completes. */
     Tick countAnswer(DirEntry &e, Txn &txn, NodeId n);
 
@@ -161,6 +187,13 @@ class DirController
     void send(Message msg, Tick delay);
     void unlock(Addr blk);
 
+    /** Take a pool entry for @p msg, arrived at @p arrival. */
+    std::uint32_t allocQueued(const Message &msg, Tick arrival);
+    /** Append pool entry @p q to the FIFO whose tail is @p tail. */
+    void push(std::uint32_t &tail, std::uint32_t q);
+    /** Unlink and return the head of the non-empty FIFO @p tail. */
+    std::uint32_t pop(std::uint32_t &tail);
+
     NodeId node_;
     ParallelScheduler &sched_;
     EventQueue &eq_;
@@ -169,16 +202,20 @@ class DirController
     Tick verifyDelay_; //!< one network hop (oneHopLatency)
 
     Directory dir_;
-    std::deque<Queued> inq_;
-    bool engineBusy_ = false;
-    FlatMap<Addr, Txn> txns_;
-    FlatMap<Addr, std::deque<Queued>> deferred_;
-    /**
-     * Per block, the nodes whose self-invalidation crossed a recall and
-     * answered it. Each still owes the plain InvAck it sends when the
-     * recall finds its copy gone; that ack is stale.
-     */
-    FlatMap<Addr, std::uint64_t> owedAcks_;
+    /** Where the engine is free again; the default is free from the
+     *  start. */
+    EventQueue::Position freeAt_;
+    bool wakeArmed_ = false; //!< a wake waits at freeAt_
+
+    /** Queued messages; the free ones form a list from freeQueued_. */
+    std::vector<Queued> pool_;
+    std::uint32_t freeQueued_ = DirEntry::none;
+    std::uint32_t inq_ = DirEntry::none; //!< the input queue's tail
+
+    /** In-flight transactions, indexed by DirEntry::txn; the free
+     *  slots' indices wait in freeTxns_. */
+    std::vector<Txn> txnPool_;
+    std::vector<std::uint32_t> freeTxns_;
 
     VerifyHook verifyHook_;
 

@@ -5,7 +5,9 @@
  * Pure bookkeeping: one DirEntry per memory block that has ever been
  * requested, holding the stable protocol state (Idle / Shared /
  * Exclusive), the full-map sharer set, the DSI write-version number, and
- * the self-invalidation verification mask of Section 4.
+ * the self-invalidation verification mask of Section 4. The protocol
+ * engine keeps its per-block state in the same entry, so one lookup
+ * serves a whole protocol action.
  */
 
 #ifndef LTP_PROTO_DIRECTORY_HH
@@ -35,13 +37,17 @@ const char *dirStateName(DirState s);
  */
 constexpr NodeId maxNodes = 64;
 
-/** Per-block directory record. */
+/**
+ * Per-block directory record. The 64-bit fields come first and the
+ * narrow ones share the last word, so an entry is one 64-byte line.
+ */
 struct DirEntry
 {
-    DirState state = DirState::Idle;
+    /** "No index" for txn and parked. */
+    static constexpr std::uint32_t none = ~std::uint32_t(0);
+
     /** Full-map sharer bit vector, one bit per node (maxNodes). */
     std::uint64_t sharers = 0;
-    NodeId owner = invalidNode;
 
     /** DSI: write-version, incremented on every exclusive grant. */
     std::uint64_t version = 0;
@@ -56,7 +62,27 @@ struct DirEntry
     /** Masked nodes whose self-invalidated copy was a write copy. */
     std::uint64_t writeCopyMask = 0;
 
-    /** True while a transaction for this block is in flight. */
+    // The protocol engine's per-block state (DirController).
+
+    /**
+     * Nodes whose self-invalidation crossed a recall and answered it.
+     * Each still owes the plain InvAck it sends when the recall finds
+     * its copy gone; that ack is stale.
+     */
+    std::uint64_t owedAcks = 0;
+
+    NodeId owner = invalidNode;
+    /** The in-flight transaction (an index into the engine's pool). */
+    std::uint32_t txn = none;
+    /**
+     * Requests parked on the busy block: the tail of a circular FIFO in
+     * the engine's message pool (the tail's link is the head).
+     */
+    std::uint32_t parked = none;
+
+    DirState state = DirState::Idle;
+    /** True while a transaction or a data reply for this block is in
+     *  flight. */
     bool busy = false;
 
     bool isSharer(NodeId n) const { return (sharers >> n) & 1; }
@@ -87,6 +113,8 @@ struct DirEntry
         return timely;
     }
 };
+
+static_assert(sizeof(DirEntry) == 64, "DirEntry grew past 64 bytes");
 
 /** The directory of one home node: block address -> entry. */
 class Directory

@@ -19,7 +19,7 @@ EventQueue::enqueue(Slot *s, Tick when, std::uint64_t key)
 {
     s->when = when;
     s->key = key;
-    std::uint64_t seq = nextSeq_++;
+    s->seq = nextSeq_++;
 
     bool force_overflow =
         calOverflowPeriod_ && nextSeq_ % calOverflowPeriod_ == 0;
@@ -30,9 +30,25 @@ EventQueue::enqueue(Slot *s, Tick when, std::uint64_t key)
         // is one. Either way the event waits in the heap and migrate()
         // links it into its tick's list before it can fire, so the
         // forced detour is invisible to results.
-        overflow_.push(OverflowEntry{when, key, seq, s});
+        overflow_.push(OverflowEntry{when, key, s->seq, s});
     }
     ++liveEvents_;
+}
+
+void
+EventQueue::linkReserved(Slot *s)
+{
+    if (s->when - now_ >= window) {
+        // Every event of a tick beyond the window waits in the heap,
+        // which releases them in (key, sequence) order.
+        overflow_.push(OverflowEntry{s->when, 0, s->seq, s});
+        return;
+    }
+    Slot *tail = tails_[std::size_t(s->when) & windowMask];
+    if (!tail || (tail->key == 0 && tail->seq < s->seq))
+        pushBucket(s);
+    else
+        insertSorted(tail, s);
 }
 
 void
@@ -58,19 +74,22 @@ EventQueue::pushBucket(Slot *s)
 
 // Out of line on purpose: only an event overtaking same-tick events of
 // a later key (a channel post passing a larger channel id, a local
-// passing the tick's pending posts) or a migrated overflow event doing
-// the same lands here, and keeping the list walk out of pushBucket()
-// keeps the append path's code footprint minimal.
+// passing the tick's pending posts), a migrated overflow event doing
+// the same, or a reserved wake passing younger locals lands here, and
+// keeping the list walk out of pushBucket() keeps the append path's
+// code footprint minimal.
 __attribute__((noinline)) void
 EventQueue::insertSorted(Slot *tail, Slot *s)
 {
-    // Every same-key entry already linked was scheduled before s, so s
-    // goes after the last entry whose key is <= its own. The walk starts
-    // at the tail, whose next is the head; the tail's key is larger than
-    // s's, so it stops before passing the tail. Tick lists are short.
+    // s goes after the last entry that precedes it in (key, sequence)
+    // order. The walk starts at the tail, whose next is the head; the
+    // tail follows s, so the walk stops before passing it. Tick lists
+    // are short.
     Slot *prev = tail;
-    while (prev->next->key <= s->key)
-        prev = prev->next;
+    for (Slot *n = prev->next;
+         n->key < s->key || (n->key == s->key && n->seq < s->seq);
+         n = n->next)
+        prev = n;
     s->next = prev->next;
     prev->next = s;
 }
@@ -148,6 +167,7 @@ EventQueue::execute(Slot *s)
 {
     assert(s->when >= now_);
     now_ = s->when;
+    runSeq_ = s->key ? ~std::uint64_t(0) : s->seq;
     --liveEvents_;
     ++executed_;
     // The slot is neither linked nor free while the callback runs in

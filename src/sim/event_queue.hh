@@ -44,15 +44,24 @@
  *    they follow the tick's locals, by channel id, FIFO within a
  *    channel.
  *
- * Tick lists need no per-slot sequence number to keep this order: an
- * event is linked in after the last entry whose key is <= its own (for
- * a plain append, the tail), which is right as long as every same-key
- * entry already there was scheduled before it. A directly scheduled
- * event is the newest of all. Overflow events leave the heap in (key,
- * sequence) order, and before any later event can be scheduled
- * straight into their tick, because migrate() runs first in every
- * schedule and pop. The schedule sequence survives only as the
- * overflow heap's tie-break.
+ * Each slot keeps its schedule sequence in the word its callback's
+ * alignment leaves spare, so tick lists are sorted by (key, sequence).
+ * A plain schedule still appends (it is the newest of all), and an
+ * overflow event reaches its tick's list before any later event can,
+ * because migrate() runs first in every schedule and pop.
+ *
+ * Reserved positions
+ * ------------------
+ * reserve(when) takes a schedule sequence without scheduling anything:
+ * the returned Position is the place a local scheduled at that moment
+ * for tick `when` would take. reached(pos) says whether the running
+ * event is at or past that place, and scheduleAt(pos, f) links `f`
+ * there, among the tick's locals by sequence, however much was
+ * scheduled since. A component that is busy until some moment (the
+ * directory engine) keeps a Position instead of a timer event, and
+ * schedules a wake there only when work waits. The answers are the
+ * same as with the timer, because a tick's locals run in sequence
+ * order.
  *
  * The rule depends on nothing but the events themselves, so the
  * parallel engine (src/sim/par/) gets the same per-node order from any
@@ -126,6 +135,63 @@ class EventQueue
     scheduleAt(Tick when, F &&f)
     {
         scheduleKeyed(when, 0, std::forward<F>(f));
+    }
+
+    /**
+     * A reserved place in the event order (see "Reserved positions"):
+     * tick @p when, among that tick's locals at schedule sequence
+     * @p seq.
+     */
+    struct Position
+    {
+        Tick when = 0;
+        std::uint64_t seq = 0;
+    };
+
+    /**
+     * Reserve the place a local scheduled now for tick @p when would
+     * take. Nothing is scheduled; the position can be used later by
+     * reached() and scheduleAt(Position, f).
+     * @pre when >= now().
+     */
+    Position
+    reserve(Tick when)
+    {
+        assert(when >= now_ && "reserving a place in the past");
+        return Position{when, nextSeq_++};
+    }
+
+    /**
+     * Whether the running event (the last one run, between events) is
+     * at or past @p pos: at a later tick, or at the same tick and
+     * either a channel post or a local whose sequence is >= pos.seq.
+     * A default Position is reached from the start.
+     */
+    bool
+    reached(Position pos) const
+    {
+        return now_ > pos.when || (now_ == pos.when && runSeq_ >= pos.seq);
+    }
+
+    /**
+     * Schedule @p f at reserved position @p pos: after the tick's locals
+     * with a smaller sequence, before everything else there. It never
+     * takes the cal-overflow fault's detour.
+     * @pre !reached(pos).
+     */
+    template <typename F>
+    void
+    scheduleAt(Position pos, F &&f)
+    {
+        assert(!reached(pos) && "scheduling at a passed position");
+        migrate(); // same-tick detours must be linked first
+        Slot *s = takeSlot();
+        s->cb.emplace(std::forward<F>(f));
+        s->when = pos.when;
+        s->key = 0;
+        s->seq = pos.seq;
+        linkReserved(s);
+        ++liveEvents_;
     }
 
     /** Schedule @p f to run @p delay ticks from now. */
@@ -250,7 +316,7 @@ class EventQueue
     /**
      * One pending event, which is also its own calendar entry. The
      * ordering key is 0 for a local and 1 + chan for a channel post;
-     * the FIFO tie-break is the slot's place in its tick list.
+     * the tie-break is the schedule sequence.
      */
     struct Slot
     {
@@ -261,6 +327,9 @@ class EventQueue
          * head), or in the free list.
          */
         Slot *next = nullptr;
+        /** Schedule sequence, in the word the callback's alignment
+         *  leaves spare (so a slot stays 112 bytes on LP64). */
+        std::uint64_t seq = 0;
         Callback cb;
     };
 
@@ -293,13 +362,21 @@ class EventQueue
         // Overflow events that entered the window must reach their tick
         // lists before anything newer can (see "Same-tick order").
         migrate();
+        Slot *s = takeSlot();
+        s->cb.emplace(std::forward<F>(f));
+        enqueue(s, when, key);
+    }
+
+    /** Pop a free slot, or materialize one. */
+    Slot *
+    takeSlot()
+    {
         Slot *s = freeHead_;
         if (s)
             freeHead_ = s->next;
         else
             s = grow();
-        s->cb.emplace(std::forward<F>(f));
-        enqueue(s, when, key);
+        return s;
     }
 
     /** Materialize the next slot (a new chunk every 1024 slots). */
@@ -308,12 +385,15 @@ class EventQueue
     /** Stamp slot @p s (callback already built) and link it in. */
     void enqueue(Slot *s, Tick when, std::uint64_t key);
 
-    /** Link slot @p s into its tick's list (within the window). */
+    /** Link the newest slot @p s into its tick's list (in the window). */
     void pushBucket(Slot *s);
 
+    /** Link reserved slot @p s (stamped, older sequence) by sequence. */
+    void linkReserved(Slot *s);
+
     /**
-     * Cold path of pushBucket: a key-overtaking (channel) insert into
-     * the list whose tail is @p tail.
+     * Cold path of pushBucket and linkReserved: insert @p s by (key,
+     * sequence) into the list whose tail @p tail comes after it.
      */
     static void insertSorted(Slot *tail, Slot *s);
 
@@ -342,8 +422,9 @@ class EventQueue
     Slot *popNext(Tick limit);
 
     /**
-     * Advance now_ to slot @p s's tick and run its callback in place,
-     * then destroy the callback and recycle the slot.
+     * Advance now_ to slot @p s's tick, record its place for reached(),
+     * and run its callback in place, then destroy the callback and
+     * recycle the slot.
      */
     void execute(Slot *s);
 
@@ -364,7 +445,10 @@ class EventQueue
     std::size_t numSlots_ = 0; //!< slots materialized (high-water)
     Slot *freeHead_ = nullptr; //!< LIFO free list through Slot::next
     Tick now_ = 0;
-    std::uint64_t nextSeq_ = 1; //!< schedule sequence (heap tie-break)
+    std::uint64_t nextSeq_ = 1; //!< next schedule sequence
+    /** The running event's sequence for reached(); all ones for a
+     *  channel post, which follows every local of its tick. */
+    std::uint64_t runSeq_ = 0;
     std::size_t liveEvents_ = 0;
     std::uint64_t executed_ = 0;
 

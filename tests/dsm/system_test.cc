@@ -117,6 +117,26 @@ TEST(DsmSystem, RunTwiceThrows)
     EXPECT_THROW(sys.run(*k2, cfg), std::logic_error);
 }
 
+TEST(DsmSystem, RunEndsWhenItsLastEnginePassDoes)
+{
+    // This run's last action is a DSI flush served by its home
+    // directory, whose engine stays busy for half the flush's 110-cycle
+    // service after the last event has run. The run ends when that
+    // occupancy does.
+    SystemParams sp = SystemParams::withPredictor(PredictorKind::Dsi,
+                                                  PredictorMode::Active);
+    sp.numNodes = 4;
+    DsmSystem sys(sp);
+    auto k = makeKernel("em3d");
+    KernelConfig cfg = defaultConfig("em3d");
+    cfg.nodes = sp.numNodes;
+    cfg.iters = scaleIterations(cfg.iters, 0.05);
+    RunResult r = sys.run(*k, cfg);
+    ASSERT_TRUE(r.completed);
+    EXPECT_EQ(r.cycles, 56689u);
+    EXPECT_EQ(sys.scheduler().now() + 55, r.cycles);
+}
+
 TEST(DsmSystem, DeterministicReplay)
 {
     auto run_once = [] {

@@ -28,9 +28,10 @@ residentCount(const Cache &c)
 TEST(CacheUnbounded, InsertAndFind)
 {
     Cache c(32);
-    c.insert(0x100, CacheState::Shared);
+    CacheLine &inserted = c.insert(0x100, CacheState::Shared);
     CacheLine *l = c.find(0x110); // same block
     ASSERT_NE(l, nullptr);
+    EXPECT_EQ(l, &inserted);
     EXPECT_EQ(l->state, CacheState::Shared);
     EXPECT_EQ(residentCount(c), 1u);
 }
@@ -51,7 +52,7 @@ TEST(CacheUnbounded, InvalidateRemovesButKeepsMetadata)
     Cache c(32);
     c.insert(0x100, CacheState::Exclusive);
     c.find(0x100)->version = 7;
-    c.invalidate(0x100);
+    Cache::invalidate(*c.find(0x100));
     EXPECT_EQ(c.find(0x100), nullptr);
     // The DSI version survives for the next request to report.
     CacheLine *any = c.findAny(0x100);
@@ -65,7 +66,7 @@ TEST(CacheUnbounded, ReinsertMakesLineResident)
     Cache c(32);
     c.insert(0x100, CacheState::Shared);
     c.find(0x100)->version = 7;
-    c.invalidate(0x100);
+    Cache::invalidate(*c.find(0x100));
     c.insert(0x100, CacheState::Exclusive);
     CacheLine *l = c.find(0x100);
     ASSERT_NE(l, nullptr);
@@ -89,7 +90,7 @@ TEST(CacheUnbounded, ForEachResidentSkipsInvalid)
     Cache c(32);
     c.insert(0x100, CacheState::Shared);
     c.insert(0x200, CacheState::Exclusive);
-    c.invalidate(0x100);
+    Cache::invalidate(*c.find(0x100));
     unsigned count = 0;
     c.forEachResident([&](Addr blk, const CacheLine &l) {
         EXPECT_EQ(blk, 0x200u);

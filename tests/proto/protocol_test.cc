@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mem/addr.hh"
@@ -188,18 +190,20 @@ TEST_F(ProtocolTest, ReadInvalidatesWriterMigratoryProtocol)
 /**
  * The host-side event budget of one coherence transaction: exact event
  * counts at unchanged latencies, so a change that adds events to the
- * protocol's hot path shows up here. A cold remote read runs 8 events:
+ * protocol's hot path shows up here. A cold remote read runs 7 events:
  *   1. the cache sends GetS (control overhead + remote lookup);
  *   2. GetS reaches the home's ingress NI (egress + flight);
  *   3. the NI delivers it; the directory starts the data reply;
- *   4. the directory engine frees up (half the service latency);
- *   5. the directory sends DataS and unlocks the block;
- *   6. DataS reaches the requester's ingress NI;
- *   7. the NI delivers it and the cache fills the line;
- *   8. the access completes (control overhead later).
- * A cold local read skips both NI hand-offs but adds the 1-cycle local
- * deliveries (6 events). A write that invalidates one sharer adds the
- * Inv/InvAck round trip and a second engine pass (15 events).
+ *   4. the directory sends DataS and unlocks the block;
+ *   5. DataS reaches the requester's ingress NI;
+ *   6. the NI delivers it and the cache fills the line;
+ *   7. the access completes (control overhead later).
+ * The directory engine's occupancy (half the service latency) is a
+ * reserved place in the event order, not an event: it costs one only
+ * when a message waits for the engine. A cold local read skips both NI
+ * hand-offs but adds the 1-cycle local deliveries (5 events). A write
+ * that invalidates one sharer adds the Inv/InvAck round trip and a
+ * second engine pass (13 events).
  */
 TEST_F(ProtocolTest, OneTransactionRunsAFixedNumberOfEvents)
 {
@@ -208,9 +212,154 @@ TEST_F(ProtocolTest, OneTransactionRunsAFixedNumberOfEvents)
         EXPECT_EQ(access(n, addr, write), latency);
         return eq_.eventsExecuted() - before;
     };
-    EXPECT_EQ(events(0, blkB, false, 410), 8u); // cold remote read
-    EXPECT_EQ(events(0, blkA, false, 116), 6u); // cold local read
-    EXPECT_EQ(events(3, blkB, true, 594), 15u); // invalidates node 0
+    EXPECT_EQ(events(0, blkB, false, 410), 7u); // cold remote read
+    EXPECT_EQ(events(0, blkA, false, 116), 5u); // cold local read
+    EXPECT_EQ(events(3, blkB, true, 594), 13u); // invalidates node 0
+}
+
+/**
+ * Home 1's engine driven by hand: requests arrive at chosen ticks, and
+ * the replies the directory sends are recorded where they land instead
+ * of reaching a cache. A grant takes 110 cycles (6 of processing, 104
+ * of memory) and occupies the engine for 55; a pass that parks a
+ * request on a busy block takes 6 and occupies it for 3. Every reply
+ * leaves through home 1's NI and crosses one uncontended hop, so the
+ * gaps between landing ticks are the gaps between sending ticks.
+ */
+class DirEngineTest : public ProtocolTest
+{
+  protected:
+    struct Landed
+    {
+        Tick when;
+        NodeId dst;
+        Addr addr;
+    };
+
+    DirEngineTest()
+    {
+        for (NodeId n = 0; n < kNodes; ++n) {
+            net_->setSink(n, [this](const Message &m) {
+                if (routesToDirectory(m.type))
+                    dirs_[m.dst]->receive(m);
+                else
+                    landed_.push_back({eq_.now(), m.dst, m.addr});
+            });
+        }
+    }
+
+    /** A cold GetS from @p n for @p blk (homed at node 1) reaches home
+     *  1's directory at tick @p t. */
+    void
+    getS(Tick t, NodeId n, Addr blk)
+    {
+        Message m;
+        m.type = MsgType::GetS;
+        m.src = n;
+        m.dst = 1;
+        m.addr = blk;
+        m.requester = n;
+        m.version = ~std::uint64_t(0);
+        eq_.scheduleAt(t, [this, m] { dirs_[1]->receive(m); });
+    }
+
+    /** Landing ticks relative to the first reply's. */
+    std::vector<Tick>
+    gaps() const
+    {
+        std::vector<Tick> g;
+        for (const Landed &l : landed_)
+            g.push_back(l.when - landed_.front().when);
+        return g;
+    }
+
+    std::vector<Landed> landed_;
+};
+
+// More blocks homed at node 1 (pages 5 and 9 under interleave).
+constexpr Addr blkC = 0x5000;
+constexpr Addr blkD = 0x9000;
+
+TEST_F(DirEngineTest, ParkedRequestsRunInArrivalOrderAheadOfLaterArrivals)
+{
+    getS(10, 0, blkB);  // served at 10; B busy until its reply at 120
+    getS(20, 2, blkB);  // P1: parked at 65
+    getS(30, 3, blkB);  // P2: parked at 68
+    getS(118, 0, blkD); // served at 118; the engine is busy until 173
+    getS(119, 2, blkC); // L: waits in the input queue
+    sched_.runUntil(tickNever);
+
+    // B unlocks at 120 and its parked requests go back ahead of L, P1
+    // first: P1 is served at 173 (reply at 283), P2 parks again on B's
+    // reply window at 228, L is served at 231 (reply at 341), and P2 at
+    // 286, after B unlocks at 283 (reply at 396).
+    ASSERT_EQ(landed_.size(), 5u);
+    std::vector<std::pair<NodeId, Addr>> order;
+    for (const Landed &l : landed_)
+        order.emplace_back(l.dst, l.addr);
+    EXPECT_EQ(order, (std::vector<std::pair<NodeId, Addr>>{
+                         {0, blkB}, {0, blkD}, {2, blkB}, {2, blkC},
+                         {3, blkB}}));
+    EXPECT_EQ(gaps(), (std::vector<Tick>{0, 108, 163, 221, 276}));
+
+    // Each request is counted once, and its queueing runs from its
+    // arrival to the pass that serves it: 0, 0, P1 173 - 20, L
+    // 231 - 119, P2 286 - 30.
+    EXPECT_EQ(stats_.counterValue("dir.requests"), 5u);
+    const Average &q = stats_.average("dir.queueing");
+    EXPECT_EQ(q.count(), 5u);
+    EXPECT_EQ(q.sum(), 153.0 + 112.0 + 256.0);
+    EXPECT_EQ(q.max(), 256.0);
+}
+
+TEST_F(DirEngineTest, BacklogIsServedWithoutANewArrival)
+{
+    // Three requests for idle blocks arrive at one tick and nothing
+    // arrives after them: the engine serves the second and the third on
+    // its own, one occupancy (55 cycles) apart.
+    getS(10, 0, blkB);
+    getS(10, 2, blkC);
+    getS(10, 3, blkD);
+    sched_.runUntil(tickNever);
+
+    ASSERT_EQ(landed_.size(), 3u);
+    EXPECT_EQ(landed_[0].dst, 0u);
+    EXPECT_EQ(landed_[1].dst, 2u);
+    EXPECT_EQ(landed_[2].dst, 3u);
+    EXPECT_EQ(gaps(), (std::vector<Tick>{0, 55, 110}));
+    EXPECT_EQ(stats_.average("dir.queueing").sum(), 55.0 + 110.0);
+}
+
+TEST_F(ProtocolTest, MisroutedMessageThrowsNamingTypeAndNode)
+{
+    // A directory never receives data, and a cache never receives a
+    // request: either is a routing bug, reported where it lands rather
+    // than left to stall a transaction until the run reads as an idle
+    // deadlock.
+    Message data;
+    data.type = MsgType::DataS;
+    data.src = 0;
+    data.dst = 1;
+    data.addr = blkB;
+    try {
+        dirs_[1]->receive(data);
+        ADD_FAILURE() << "the directory accepted a DataS";
+    } catch (const std::logic_error &e) {
+        EXPECT_STREQ(e.what(), "unexpected DataS at the directory of node 1");
+    }
+
+    Message req;
+    req.type = MsgType::GetS;
+    req.src = 1;
+    req.dst = 2;
+    req.addr = blkB;
+    try {
+        caches_[2]->receive(req);
+        ADD_FAILURE() << "the cache accepted a GetS";
+    } catch (const std::logic_error &e) {
+        EXPECT_STREQ(e.what(),
+                     "unexpected GetS at the cache controller of node 2");
+    }
 }
 
 TEST_F(ProtocolTest, ThreeHopReadCostsMoreThanTwoHop)

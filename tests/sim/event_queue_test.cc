@@ -574,10 +574,14 @@ TEST(SmallFunction, EmplaceReplacesTheHeldCallable)
 /**
  * Randomized stress of the sorted tick lists: scheduleAt, channel posts
  * (few channel ids, so posts overtake and queue behind one another),
- * zero delays into the executing tick and far-future overflow events,
- * checked against an ordered (tick, class, chan, seq) model (class 0 =
- * local, 1 = channel post). nextEventTick() must see the model's front.
- * @p cal_overflow_period arms the queue's cal-overflow fault.
+ * zero delays into the executing tick, far-future overflow events and
+ * reserved positions, checked against an ordered (tick, class, chan,
+ * seq) model (class 0 = local, 1 = channel post). A reservation takes
+ * a seq like a local scheduled at that moment; the wake scheduled there
+ * later runs where that local would have, and reached() answers whether
+ * the last event run is at or past it. nextEventTick() must see the
+ * model's front. @p cal_overflow_period arms the queue's cal-overflow
+ * fault.
  */
 void
 mixedStressMatchesReferenceModel(std::uint64_t cal_overflow_period = 0)
@@ -589,7 +593,14 @@ mixedStressMatchesReferenceModel(std::uint64_t cal_overflow_period = 0)
                            std::uint64_t>; // tick, class, chan, seq
     std::map<Key, std::uint64_t> model;    // key -> token
     std::vector<std::uint64_t> executed;
-    std::uint64_t nextToken = 0, seq = 0;
+    std::uint64_t nextToken = 0, seq = 1;
+    Key last{0, 0, 0, 0}; // the last event run (none yet)
+    struct Reservation
+    {
+        EventQueue::Position pos;
+        Key key;
+    };
+    std::vector<Reservation> reserved; // not yet scheduled
 
     auto delay = [&]() -> Tick {
         unsigned r = unsigned(rng() % 100);
@@ -617,12 +628,41 @@ mixedStressMatchesReferenceModel(std::uint64_t cal_overflow_period = 0)
     auto expectFront = [&] {
         ASSERT_FALSE(model.empty());
         EXPECT_EQ(executed.back(), model.begin()->second);
+        last = model.begin()->first;
         model.erase(model.begin());
+    };
+    auto reserveOne = [&] {
+        Tick when = eq.now() + delay();
+        reserved.push_back({eq.reserve(when), Key{when, 0, 0, seq++}});
+    };
+    // Check reached() on a random reservation; schedule its wake when it
+    // is still ahead (or drop it when it is passed).
+    auto useReservation = [&](bool schedule) {
+        if (reserved.empty())
+            return;
+        std::size_t i = rng() % reserved.size();
+        Reservation r = reserved[i];
+        bool passed = last >= r.key;
+        ASSERT_EQ(eq.reached(r.pos), passed);
+        if (!schedule && !passed)
+            return;
+        reserved.erase(reserved.begin() + std::ptrdiff_t(i));
+        if (passed)
+            return;
+        std::uint64_t token = nextToken++;
+        eq.scheduleAt(r.pos,
+                      [&executed, token] { executed.push_back(token); });
+        model.emplace(r.key, token);
     };
 
     for (int round = 0; round < 20000; ++round) {
-        unsigned action = unsigned(rng() % 17);
-        if (action < 11) {
+        unsigned action = unsigned(rng() % 20);
+        if (action >= 17) {
+            if (action == 17)
+                reserveOne();
+            else
+                useReservation(/*schedule=*/action == 18);
+        } else if (action < 11) {
             scheduleOne();
         } else if (action < 15) {
             for (int k = 0; k < 3 && !model.empty(); ++k) {
@@ -639,6 +679,7 @@ mixedStressMatchesReferenceModel(std::uint64_t cal_overflow_period = 0)
                 ASSERT_FALSE(model.empty());
                 EXPECT_LE(std::get<0>(model.begin()->first), limit);
                 EXPECT_EQ(executed[k], model.begin()->second);
+                last = model.begin()->first;
                 model.erase(model.begin());
             }
             if (!model.empty())
